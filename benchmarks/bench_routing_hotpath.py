@@ -6,22 +6,16 @@ Standalone script (argparse, no pytest) so CI can run it as a smoke job::
 
 It measures four things and writes ``BENCH_routing.json``:
 
-* **Single-pair warm queries, per kernel** — the seed configuration
-  (per-query ``G_{s,t}`` rebuild over an addressable binary heap)
-  against the overlay hot path under each raw-speed kernel: ``flat``
-  (heapq + scratch reuse), ``bucket`` (Dial bucket queue on the
-  lattice-cost overlay), and the forest-batched mode (one exhausted
-  run per source through :class:`BatchRouter`, lazily decoded).  Every
-  kernel's answers are checked hop-for-hop against the seed path.
-* **Restricted crossover** — the Theorem 4 regime: at fixed ``n`` and a
-  large wavelength universe ``k``, sweep the per-link bound ``k₀`` and
-  compare terminal-free trees on the fused restricted ``G'`` against
-  ``G_all`` trees, locating the crossover behind
-  ``RESTRICTED_K0_CROSSOVER``.
+* **Single-pair warm queries** — the seed configuration (per-query
+  ``G_{s,t}`` rebuild over an addressable binary heap) against the
+  overlay hot path on the ``flat`` kernel (heapq + scratch reuse) and
+  the forest-batched mode (one exhausted run per source through
+  :class:`BatchRouter`, lazily decoded).  Every mode's answers are
+  checked hop-for-hop against the seed path.
 * **All-pairs fan-out** — serial ``route_all_pairs`` against the
-  process-parallel path, with the measured worker count recorded next
-  to the machine's CPU count (a 1-CPU container cannot show a parallel
-  win; the numbers say so honestly).
+  shared-memory process pool, with the measured worker count recorded
+  next to the machine's CPU count (a 1-CPU container cannot show a
+  parallel win; the numbers say so honestly).
 * **Fault churn** — an alternating degrade/recover + query stream served
   by two epoch caches: full invalidation (every fault rebuilds
   ``G_all``) against incremental delta-epoch patching (CSR masking +
@@ -53,13 +47,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import restricted_wan, sparse_wan  # noqa: E402
+from conftest import sparse_wan  # noqa: E402
 
 from repro.core.batch import BatchRouter  # noqa: E402
 from repro.core.parallel import route_all_pairs_parallel  # noqa: E402
 from repro.core.routing import LiangShenRouter  # noqa: E402
 from repro.exceptions import NoPathError  # noqa: E402
-from repro.shortestpath.restricted import RESTRICTED_K0_CROSSOVER  # noqa: E402
 from repro.faults.injector import FaultInjector  # noqa: E402
 from repro.faults.plan import FaultEvent  # noqa: E402
 from repro.service.cache import EpochRouterCache  # noqa: E402
@@ -99,19 +92,17 @@ def _view(result):
 
 
 def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
-    """Time the full query stream per kernel against the seed path.
+    """Time the full query stream per serving mode against the seed path.
 
-    All overlay kernels must agree hop-for-hop with ``flat`` (and flat
-    with the seed); any divergence makes the script exit nonzero.
+    The forest-batched answers must agree hop-for-hop with ``flat`` (and
+    flat with the seed); any divergence makes the script exit nonzero.
     """
     nodes = net.nodes()
     pairs = [(s, t) for s in nodes for t in nodes if s != t]
 
     seed_router = LiangShenRouter(net, heap="binary", overlay=False)
     flat_router = LiangShenRouter(net)  # overlay + flat
-    bucket_router = LiangShenRouter(net, heap="bucket")
     flat_router.layered_graph()  # warm the shared G' before timing
-    bucket_router.layered_graph()
     batch_router = BatchRouter(net)  # G_all built here, outside the timing
 
     start = time.perf_counter()
@@ -122,10 +113,6 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
     flat_results = [_view(_try(flat_router, s, t)) for s, t in pairs]
     t_flat = time.perf_counter() - start
 
-    start = time.perf_counter()
-    bucket_results = [_view(_try(bucket_router, s, t)) for s, t in pairs]
-    t_bucket = time.perf_counter() - start
-
     # The batched mode serves the same stream source-major: one exhausted
     # kernel run per source, every answer a lazy decode off its forest.
     start = time.perf_counter()
@@ -134,10 +121,8 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
 
     errors: list[str] = []
     _check_identity(name, "overlay_flat", pairs, seed_results, flat_results, errors)
-    _check_identity(name, "overlay_bucket", pairs, flat_results, bucket_results, errors)
     _check_identity(name, "forest_batched", pairs, flat_results, batched_results, errors)
 
-    bucket_scale = bucket_router.layered_graph().graph.lattice_scale()
     us = 1e6 / len(pairs)
     return {
         "topology": name,
@@ -149,17 +134,11 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
         "speedup": t_seed / t_flat if t_flat > 0 else float("inf"),
         "seed_us_per_query": t_seed * us,
         "hot_us_per_query": t_flat * us,
-        "bucket_scale": bucket_scale,
         "kernels": {
             "seed_rebuild_binary": {"us_per_query": t_seed * us},
             "overlay_flat": {
                 "us_per_query": t_flat * us,
                 "speedup_vs_seed": t_seed / t_flat if t_flat > 0 else float("inf"),
-            },
-            "overlay_bucket": {
-                "us_per_query": t_bucket * us,
-                "speedup_vs_seed": t_seed / t_bucket if t_bucket > 0 else float("inf"),
-                "bucket_active": bucket_scale is not None,
             },
             "forest_batched": {
                 "us_per_query": t_batched * us,
@@ -173,14 +152,14 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
 
 
 def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
-    """Serial vs both pool paths, plus the worker-startup cost comparison.
+    """Serial vs the shared-memory pool, plus the worker-startup cost.
 
-    On a 1-CPU box neither pool path can show a wall-clock win (recorded
+    On a 1-CPU box the pool cannot show a wall-clock win (recorded
     honestly), so the startup comparison carries the asserted claim:
-    attaching the shared segment must cost < 10% of what the legacy path
-    pays to pickle ``G_all`` once per worker.  That ratio is machine-
-    independent — it compares two costs measured on the same box — and a
-    violation is a correctness-grade error, not a noisy timing.
+    attaching the shared segment must cost < 10% of pickling ``G_all``
+    to a worker and back.  That ratio is machine-independent — it
+    compares two costs measured on the same box — and a violation is a
+    correctness-grade error, not a noisy timing.
     """
     import pickle
 
@@ -197,20 +176,12 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    via_shared = route_all_pairs_parallel(
-        net, workers=workers, aux=aux, shared=True
-    )
+    via_shared = route_all_pairs_parallel(net, workers=workers, aux=aux)
     t_shared = time.perf_counter() - start
 
-    start = time.perf_counter()
-    via_pickled = route_all_pairs_parallel(
-        net, workers=workers, aux=aux, shared=False
-    )
-    t_pickled = time.perf_counter() - start
-
-    # What the legacy spawn/forkserver path pays per worker: the parent
-    # pickles the initializer payload (G_all + kernel + hook) once per
-    # worker and each child unpickles it — the round trip is the bill.
+    # What handing G_all to a worker by value would cost: the parent
+    # pickles the payload (G_all + kernel + hook) and the child unpickles
+    # it — the round trip is the bill.
     # Best-of-5 for both costs: these are microsecond-to-millisecond
     # one-shots, so the minimum is the honest (noise-free) estimate.
     payload_bytes = len(pickle.dumps((aux, "flat", None)))
@@ -236,14 +207,11 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
 
     errors: list[str] = []
     serial_view = {p: (v.hops, v.total_cost) for p, v in serial.paths.items()}
-    for label, fanned in (("shared", via_shared), ("pickled", via_pickled)):
-        fanned_view = {
-            p: (v.hops, v.total_cost) for p, v in fanned.paths.items()
-        }
-        if serial_view != fanned_view:
-            errors.append(f"{name}: parallel[{label}] all-pairs differs from serial")
-        if serial.stats.settled != fanned.stats.settled:
-            errors.append(f"{name}: parallel[{label}] settled-count differs")
+    shared_view = {p: (v.hops, v.total_cost) for p, v in via_shared.paths.items()}
+    if serial_view != shared_view:
+        errors.append(f"{name}: parallel all-pairs differs from serial")
+    if serial.stats.settled != via_shared.stats.settled:
+        errors.append(f"{name}: parallel settled-count differs")
     if t_attach_cost >= 0.10 * t_pickle_cost:
         errors.append(
             f"{name}: shared attach ({t_attach_cost * 1e3:.2f} ms) is not "
@@ -258,80 +226,13 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
         "cpu_count": os.cpu_count(),
         "serial_seconds": t_serial,
         "parallel_shared_seconds": t_shared,
-        "parallel_pickled_seconds": t_pickled,
         "parallel_speedup": t_serial / t_shared if t_shared > 0 else 0.0,
-        "parallel_pickled_speedup": t_serial / t_pickled if t_pickled > 0 else 0.0,
         "pickle_cost_seconds": t_pickle_cost,
         "pickle_payload_bytes": payload_bytes,
         "attach_cost_seconds": t_attach_cost,
         "attach_vs_pickle_ratio": (
             t_attach_cost / t_pickle_cost if t_pickle_cost > 0 else float("inf")
         ),
-    }, errors
-
-
-def bench_restricted_crossover(
-    n: int, k: int, k0_values: tuple[int, ...], seed: int = 7
-) -> tuple[dict, list[str]]:
-    """Theorem 4 sweep: terminal-free ``G'`` trees vs ``G_all`` trees.
-
-    Fixed ``n`` and a large universe ``k``; ``k₀`` (the per-link
-    wavelength bound) sweeps across the crossover.  Per point both
-    routers answer every one-to-all query (construction excluded — the
-    build-time gap is reported separately) and the trees are compared
-    hop-for-hop.
-    """
-    errors: list[str] = []
-    rows = []
-    for k0 in k0_values:
-        net = restricted_wan(n, k, k0, seed=seed)
-        fast = LiangShenRouter(net, restricted=True)
-        general = LiangShenRouter(net, restricted=False)
-
-        start = time.perf_counter()
-        fast.layered_graph()
-        t_build_fast = time.perf_counter() - start
-        start = time.perf_counter()
-        general.all_pairs_graph()
-        t_build_general = time.perf_counter() - start
-
-        nodes = net.nodes()
-        start = time.perf_counter()
-        general_trees = [general.route_tree(s) for s in nodes]
-        t_general = time.perf_counter() - start
-        start = time.perf_counter()
-        fast_trees = [fast.route_tree(s) for s in nodes]
-        t_fast = time.perf_counter() - start
-
-        for s, ref, got in zip(nodes, general_trees, fast_trees):
-            if ref.keys() != got.keys():
-                errors.append(f"restricted k0={k0}: tree targets differ from {s}")
-                continue
-            for t in ref:
-                if ref[t].hops != got[t].hops:
-                    errors.append(
-                        f"restricted k0={k0}: hops differ for {s}->{t}"
-                    )
-                    break
-
-        rows.append(
-            {
-                "k0": k0,
-                "measured_k0": net.max_link_wavelengths,
-                "aux_nodes_restricted": fast.layered_graph().graph.num_nodes,
-                "aux_nodes_general": general.all_pairs_graph().graph.num_nodes,
-                "build_restricted_seconds": t_build_fast,
-                "build_general_seconds": t_build_general,
-                "restricted_us_per_tree": t_fast / len(nodes) * 1e6,
-                "general_us_per_tree": t_general / len(nodes) * 1e6,
-                "tree_speedup": t_general / t_fast if t_fast > 0 else float("inf"),
-            }
-        )
-    return {
-        "n": n,
-        "k": k,
-        "crossover_constant": RESTRICTED_K0_CROSSOVER,
-        "rows": rows,
     }, errors
 
 
@@ -538,12 +439,10 @@ def main(argv: list[str] | None = None) -> int:
         single_sizes = [24, 32]
         all_pairs_sizes = [32]
         churn_sizes = [32]
-        crossover = (24, 16, (1, 2, 4))
     else:
         single_sizes = [32, 48, 64]
         all_pairs_sizes = [48, 64]
         churn_sizes = [48, 64]
-        crossover = (32, 32, (1, 2, 3, 4, 6, 8))
 
     report = {
         "machine": {
@@ -568,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: {row['queries']} warm queries  "
             f"seed {row['seed_us_per_query']:8.1f} us/q  "
             f"flat {kernels['overlay_flat']['us_per_query']:8.1f} us/q  "
-            f"bucket {kernels['overlay_bucket']['us_per_query']:8.1f} us/q  "
             f"batched {kernels['forest_batched']['us_per_query']:8.1f} us/q  "
             f"(best {max(k['speedup_vs_seed'] for k in kernels.values() if 'speedup_vs_seed' in k):.1f}x)"
         )
@@ -582,7 +480,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{name}: all-pairs serial {row['serial_seconds'] * 1e3:8.1f} ms  "
             f"workers={row['workers']} "
             f"shared {row['parallel_shared_seconds'] * 1e3:8.1f} ms  "
-            f"pickled {row['parallel_pickled_seconds'] * 1e3:8.1f} ms  "
             f"({row['parallel_speedup']:.2f}x on {os.cpu_count()} CPU(s); "
             f"attach {row['attach_cost_seconds'] * 1e3:.2f} ms vs "
             f"pickle {row['pickle_cost_seconds'] * 1e3:.2f} ms per worker)"
@@ -594,19 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         report["fault_churn"].append(row)
         errors.extend(errs)
         _print_churn_row(row)
-
-    cx_n, cx_k, cx_k0s = crossover
-    section, errs = bench_restricted_crossover(cx_n, cx_k, cx_k0s)
-    report["restricted_crossover"] = section
-    errors.extend(errs)
-    for row in section["rows"]:
-        print(
-            f"restricted n={cx_n} k={cx_k} k0={row['k0']}: "
-            f"G' {row['restricted_us_per_tree']:8.1f} us/tree  "
-            f"G_all {row['general_us_per_tree']:8.1f} us/tree  "
-            f"({row['tree_speedup']:.2f}x; "
-            f"{row['aux_nodes_restricted']} vs {row['aux_nodes_general']} aux nodes)"
-        )
 
     report["verified"] = not errors
     report["errors"] = errors

@@ -6,20 +6,13 @@ mutable state, so they partition perfectly across OS processes — the only
 engineering problem is getting ``G_all`` into the workers without paying
 a per-task serialization bill.
 
-:func:`route_all_pairs_parallel` gets ``G_all`` into the workers two ways:
-
-* **Shared memory (default, ``shared=True``):** the parent publishes the
-  CSR arrays once into a :class:`~repro.shortestpath.shared.SharedCSR`
-  segment and each worker *attaches* through the pool initializer — a
-  header parse plus one small metadata unpickle, independent of graph
-  size.  No worker ever pickles or copies the arrays, under any start
-  method; the segment is unlinked when the pool finishes.
-* **Legacy (``shared=False``):** with the **fork** start method the
-  parent stores ``G_all`` in a module global and forked children inherit
-  it through copy-on-write memory; with **spawn**/**forkserver** the
-  graph is pickled once per worker through the initializer.  This is the
-  path whose per-worker cost motivated the shared segment — the bench
-  records both so the regression stays visible.
+:func:`route_all_pairs_parallel` publishes the CSR arrays once into a
+:class:`~repro.shortestpath.shared.SharedCSR` segment and each worker
+*attaches* through the pool initializer — a header parse plus one small
+metadata unpickle, independent of graph size.  No worker ever pickles or
+copies the arrays, under any start method; the segment is unlinked when
+the pool finishes.  When the platform has no usable shared memory the
+run goes serial in this process instead.
 
 Sources are grouped into contiguous chunks (several per worker, for load
 balance against uneven tree sizes) and each worker returns its decoded
@@ -36,9 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Hashable
 
 from repro.core.auxiliary import AllPairsGraph, build_all_pairs_graph
-from repro.core.instrumentation import QueryStats
-from repro.core.routing import AllPairsResult, run_tree
-from repro.core.semilightpath import Semilightpath
+from repro.core.routing import AllPairsResult, merge_all_pairs, run_trees
 from repro.shortestpath.flat import ScratchBuffers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,22 +39,12 @@ __all__ = ["route_all_pairs_parallel"]
 
 NodeId = Hashable
 
-#: Worker-side shared state: set by fork inheritance or the pool initializer.
+#: Worker-side shared state, installed by the pool initializer.
 _SHARED: dict[str, object] = {}
 
 
-def _worker_init(payload: tuple[AllPairsGraph, str, object] | None) -> None:
-    """Pool initializer: install the shared graph (spawn/forkserver only).
-
-    Under fork the payload is ``None`` and the worker keeps the module
-    global it inherited from the parent.
-    """
-    if payload is not None:
-        _SHARED["aux"], _SHARED["heap"], _SHARED["fault_hook"] = payload
-
-
 def _worker_init_shared(payload: tuple[str, str, object]) -> None:
-    """Pool initializer for the shared-memory path: attach by name.
+    """Pool initializer: attach the shared ``G_all`` segment by name.
 
     The payload carries only the segment *name* — deliberately, even
     under fork (where the worker could inherit the parent's handle), so
@@ -78,14 +59,11 @@ def _worker_init_shared(payload: tuple[str, str, object]) -> None:
     _SHARED["fault_hook"] = fault_hook
 
 
-def _route_chunk(
-    job: tuple[int, list[NodeId]],
-) -> tuple[int, list[tuple[NodeId, dict[NodeId, Semilightpath]]], int, int, dict[str, int]]:
+def _route_chunk(job: tuple[int, list[NodeId]]) -> tuple:
     """Run one tree per source in the chunk against the shared ``G_all``."""
     index, sources = job
     aux: AllPairsGraph = _SHARED["aux"]  # type: ignore[assignment]
-    heap: str = _SHARED["heap"]  # type: ignore[assignment]
-    fault_hook = _SHARED.get("fault_hook")
+    fault_hook = _SHARED["fault_hook"]
     if fault_hook is not None:
         fault_hook(index)  # chaos layer: may raise inside this worker
     # Scratch is reused across this worker's chunks; kernels that manage
@@ -93,17 +71,7 @@ def _route_chunk(
     scratch = _SHARED.get("scratch")
     if scratch is None:
         scratch = _SHARED["scratch"] = ScratchBuffers(aux.graph.num_nodes)
-    trees: list[tuple[NodeId, dict[NodeId, Semilightpath]]] = []
-    settled = relaxations = 0
-    heap_totals: dict[str, int] = {}
-    for source in sources:
-        tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
-        trees.append((source, tree))
-        settled += run.settled
-        relaxations += run.relaxations
-        for key, value in run.heap_stats.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return index, trees, settled, relaxations, heap_totals
+    return run_trees(aux, sources, _SHARED["heap"], scratch)
 
 
 def _chunk(sources: list[NodeId], num_chunks: int) -> list[list[NodeId]]:
@@ -126,7 +94,6 @@ def route_all_pairs_parallel(
     aux: AllPairsGraph | None = None,
     chunks_per_worker: int = 4,
     fault_hook=None,
-    shared: bool = True,
 ) -> AllPairsResult:
     """Corollary 1 with the ``n`` tree runs fanned across a process pool.
 
@@ -135,7 +102,8 @@ def route_all_pairs_parallel(
     network:
         The network to route on (must match *aux* when one is given).
     workers:
-        Process count.  ``1`` runs serially in this process (no pool).
+        Process count.  ``1`` runs serially in this process (no pool), as
+        does a run whose ``G_all`` cannot be published to shared memory.
     heap:
         Kernel per tree run, as in :class:`~repro.core.routing.LiangShenRouter`.
         Addressable-heap *factories* cannot cross a process boundary; pass
@@ -150,15 +118,8 @@ def route_all_pairs_parallel(
         Optional picklable ``hook(chunk_index)`` called at the start of
         every worker chunk — the chaos layer's worker-crash injection
         point (e.g. :class:`repro.faults.injector.ChunkCrash`).  Applied
-        only on the pool path (``workers > 1``); a hook that raises
-        surfaces the exception through the pool exactly like a real
-        worker crash.
-    shared:
-        When True (default) the CSR arrays are published once into a
-        shared-memory segment and workers attach zero-copy views; when
-        False the legacy fork-inherit / pickle-per-worker path runs.
-        Falls back to the legacy path automatically if the platform has
-        no usable shared memory.
+        only when a pool runs; a hook that raises surfaces the exception
+        through the pool exactly like a real worker crash.
 
     Returns
     -------
@@ -173,87 +134,29 @@ def route_all_pairs_parallel(
         aux = build_all_pairs_graph(network)
     sources = network.nodes()
 
-    if workers == 1 or len(sources) <= 1:
-        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-        settled = relaxations = 0
-        heap_totals: dict[str, int] = {}
-        scratch = ScratchBuffers(aux.graph.num_nodes)
-        for source in sources:
-            tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
-            for target, path in tree.items():
-                paths[(source, target)] = path
-            settled += run.settled
-            relaxations += run.relaxations
-            for key, value in run.heap_stats.items():
-                heap_totals[key] = heap_totals.get(key, 0) + value
-        return AllPairsResult(
-            paths=paths,
-            stats=QueryStats(
-                sizes=aux.sizes,
-                settled=settled,
-                relaxations=relaxations,
-                heap=heap_totals,
-            ),
-        )
-
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     segment = None
-    if shared:
+    if workers > 1 and len(sources) > 1:
         try:
             from repro.shortestpath.shared import share_all_pairs_graph
 
             segment = share_all_pairs_graph(aux)
         except Exception:
-            segment = None  # no /dev/shm (or equivalent): legacy path
-    if segment is not None:
-        initializer = _worker_init_shared
-        payload = (segment.name, heap, fault_hook)
-    else:
-        initializer = _worker_init
-        # Fork children inherit _SHARED through copy-on-write — no
-        # pickling at all.  Other start methods get the graph through the
-        # initializer, pickled once per worker rather than once per task.
-        payload = (
-            None
-            if ctx.get_start_method() == "fork"
-            else (aux, heap, fault_hook)
-        )
-        _SHARED["aux"] = aux
-        _SHARED["heap"] = heap
-        _SHARED["fault_hook"] = fault_hook
+            segment = None  # no /dev/shm (or equivalent): serial below
+    if segment is None:
+        scratch = ScratchBuffers(aux.graph.num_nodes)
+        return merge_all_pairs(aux.sizes, [run_trees(aux, sources, heap, scratch)])
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     jobs = list(enumerate(_chunk(sources, workers * chunks_per_worker)))
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=ctx,
-            initializer=initializer,
-            initargs=(payload,),
+            initializer=_worker_init_shared,
+            initargs=((segment.name, heap, fault_hook),),
         ) as pool:
-            results = list(pool.map(_route_chunk, jobs))
+            chunks = list(pool.map(_route_chunk, jobs))
     finally:
-        _SHARED.clear()
-        if segment is not None:
-            segment.unlink()
-
-    paths = {}
-    settled = relaxations = 0
-    heap_totals = {}
-    results.sort(key=lambda chunk_result: chunk_result[0])
-    for _index, trees, chunk_settled, chunk_relaxations, chunk_heap in results:
-        for source, tree in trees:
-            for target, path in tree.items():
-                paths[(source, target)] = path
-        settled += chunk_settled
-        relaxations += chunk_relaxations
-        for key, value in chunk_heap.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return AllPairsResult(
-        paths=paths,
-        stats=QueryStats(
-            sizes=aux.sizes,
-            settled=settled,
-            relaxations=relaxations,
-            heap=heap_totals,
-        ),
-    )
+        segment.unlink()
+    return merge_all_pairs(aux.sizes, chunks)

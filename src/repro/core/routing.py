@@ -68,6 +68,8 @@ __all__ = [
     "AllPairsResult",
     "LiangShenRouter",
     "run_tree",
+    "run_trees",
+    "merge_all_pairs",
     "decode_warm_tree",
     "decode_warm_targets",
 ]
@@ -115,32 +117,18 @@ class LiangShenRouter:
         as frozen: the auxiliary graphs are cached per router instance
         (see :meth:`invalidate`).
     heap:
-        Shortest-path kernel name, resolved once through the registry in
-        :mod:`repro.shortestpath`: ``"flat"`` (default — heapq + lazy
+        Shortest-path kernel name, resolved once through the kernel table
+        in :mod:`repro.shortestpath`: ``"flat"`` (default — heapq + lazy
         deletion over CSR arrays with reusable scratch buffers, the
-        serving fast path), ``"bucket"`` (Dial bucket queue on
-        integer-lattice weights, transparent flat fallback otherwise),
-        ``"binary"``, ``"pairing"``, ``"fibonacci"`` (the addressable
-        structures Theorem 1's complexity accounting uses; Fibonacci is
-        the one the bound cites), or a factory callable returning an
-        addressable heap.
+        serving fast path), ``"binary"``, ``"pairing"``, ``"fibonacci"``
+        (the addressable structures Theorem 1's complexity accounting
+        uses; Fibonacci is the one the bound cites), or a factory
+        callable returning an addressable heap.
     overlay:
         When True (default), single-pair queries run on the shared
         layered graph ``G'`` (built once, never mutated).  When False,
         every query rebuilds ``G_{s,t}`` — Theorem 1's literal
         construction, kept for tests and complexity accounting.
-    restricted:
-        The Theorem 4 fast path for networks with small per-link
-        wavelength counts.  ``"auto"`` (default) enables it when
-        :func:`repro.shortestpath.restricted.restricted_applicable`
-        holds (measured ``k₀`` at or below the benched crossover and
-        strictly below ``k``); ``True`` / ``False`` force it.  When
-        active, ``G'`` comes from the fused restricted builder
-        (CSR-identical to the general one) and one-to-all queries run
-        terminal-free on ``G'`` instead of ``G_all`` — hop-identical
-        trees in time independent of ``k``.  :meth:`route_all_pairs` is
-        unaffected either way: it stays on the shared ``G_all`` so
-        serial and process-parallel runs remain byte-identical.
 
     Example
     -------
@@ -157,22 +145,11 @@ class LiangShenRouter:
         network: "WDMNetwork",
         heap: str | Callable[[], AddressableHeap] = "flat",
         overlay: bool = True,
-        restricted: bool | str = "auto",
     ) -> None:
         self.network = network
         self.heap = heap
         self._kernel = resolve_kernel(heap)
         self.overlay = overlay
-        if restricted == "auto":
-            # Runtime-lazy import: repro.core's package init pulls this
-            # module in, and repro.shortestpath.restricted imports
-            # repro.core.auxiliary — a top-level import here would leave
-            # one side partially initialized depending on entry point.
-            from repro.shortestpath.restricted import restricted_applicable
-
-            self.restricted = restricted_applicable(network)
-        else:
-            self.restricted = bool(restricted)
         self._layered: LayeredGraph | None = None
         self._all_pairs: AllPairsGraph | None = None
         self._pool = ScratchPool()
@@ -180,20 +157,9 @@ class LiangShenRouter:
     # -- cached auxiliary graphs ---------------------------------------------
 
     def layered_graph(self) -> LayeredGraph:
-        """The shared ``G'`` overlay (built lazily, cached).
-
-        With :attr:`restricted` active the fused Theorem 4 builder is
-        used; its output is CSR-identical to
-        :func:`~repro.core.auxiliary.build_layered_graph`, so queries
-        (and their tie-breaking) are unaffected by the choice.
-        """
+        """The shared ``G'`` overlay (built lazily, cached)."""
         if self._layered is None:
-            if self.restricted:
-                from repro.shortestpath.restricted import build_restricted_graph
-
-                self._layered = build_restricted_graph(self.network)
-            else:
-                self._layered = build_layered_graph(self.network)
+            self._layered = build_layered_graph(self.network)
         return self._layered
 
     def all_pairs_graph(self) -> AllPairsGraph:
@@ -284,45 +250,10 @@ class LiangShenRouter:
         outgoing wavelengths yields an empty tree; an unknown node raises
         :class:`~repro.exceptions.UnknownNodeError` (matching :meth:`route`).
         """
-        return self.tree_from(source)[0]
-
-    def tree_from(
-        self, source: NodeId
-    ) -> tuple[dict[NodeId, Semilightpath], DijkstraResult]:
-        """One Corollary 1 tree plus the run it took (for stats callers).
-
-        With :attr:`restricted` active the tree runs terminal-free on
-        ``G'`` (Theorem 4): hop-identical paths, but the run's
-        settled/relaxation counts exclude the ``2n`` virtual terminals
-        ``G_all`` would also have visited.
-        """
         if not self.network.has_node(source):
             raise UnknownNodeError(source)
-        if self.restricted:
-            return self._restricted_tree(source)
         aux = self.all_pairs_graph()
-        return run_tree(
-            aux, source, heap=self.heap, scratch=self._pool.get(aux.graph.num_nodes)
-        )
-
-    def _restricted_tree(
-        self, source: NodeId
-    ) -> tuple[dict[NodeId, Semilightpath], DijkstraResult]:
-        """Theorem 4 one-to-all: terminal-free over ``G'``."""
-        from repro.shortestpath.restricted import run_restricted_tree
-
-        aux = self.layered_graph()
-        run, best = run_restricted_tree(
-            aux,
-            source,
-            self._kernel,
-            scratch=self._pool.get(aux.graph.num_nodes),
-        )
-        tree: dict[NodeId, Semilightpath] = {}
-        for target, x in best.items():
-            aux_path = reconstruct_path(run.parent, x)
-            tree[target] = _decode(aux.decode, aux_path, run.dist[x])
-        return tree, run
+        return run_tree(aux, source, heap=self.heap, scratch=self._pool)[0]
 
     def route_all_pairs(self, workers: int | None = None) -> AllPairsResult:
         """Corollary 1: optimal semilightpaths for all ordered pairs.
@@ -340,35 +271,10 @@ class LiangShenRouter:
             return route_all_pairs_parallel(
                 self.network, workers=workers, heap=self.heap, aux=aux
             )
-        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-        settled = 0
-        relaxations = 0
-        heap_totals: dict[str, int] = {}
-        scratch = self._pool.get(aux.graph.num_nodes)
-        for source in self.network.nodes():
-            tree, run = run_tree(aux, source, heap=self.heap, scratch=scratch)
-            for target, path in tree.items():
-                paths[(source, target)] = path
-            settled += run.settled
-            relaxations += run.relaxations
-            for key, value in run.heap_stats.items():
-                heap_totals[key] = heap_totals.get(key, 0) + value
-        stats = QueryStats(
-            sizes=aux.sizes,
-            settled=settled,
-            relaxations=relaxations,
-            heap=heap_totals,
+        chunk = run_trees(
+            aux, self.network.nodes(), heap=self.heap, scratch=self._pool
         )
-        return AllPairsResult(paths=paths, stats=stats)
-
-    # Backwards-compatible internal entry point: the service cache and the
-    # batch router drive tree construction over an explicitly shared aux.
-    def _tree_from(
-        self, aux: AllPairsGraph, source: NodeId
-    ) -> tuple[dict[NodeId, Semilightpath], DijkstraResult]:
-        return run_tree(
-            aux, source, heap=self.heap, scratch=self._pool.get(aux.graph.num_nodes)
-        )
+        return merge_all_pairs(aux.sizes, [chunk])
 
     # -- kernel dispatch -----------------------------------------------------
 
@@ -391,30 +297,79 @@ def run_tree(
     """One Corollary 1 shortest-path tree over a shared ``G_all``.
 
     Module-level so process-pool workers (:mod:`repro.core.parallel`) can
-    run trees against a forked/pickled ``aux`` without a router instance.
+    run trees against an attached ``aux`` without a router instance.
     The tree is fully decoded before returning, so reusable *scratch* is
     safe to pass.
     """
-    source_id = aux.source_ids[source]
-    run = resolve_kernel(heap)(aux.graph, source_id, scratch=scratch)
-    tree: dict[NodeId, Semilightpath] = {}
-    for target, sink_id in aux.sink_ids.items():
-        if target == source or run.dist[sink_id] == math.inf:
-            continue
-        aux_path = reconstruct_path(run.parent, sink_id)
-        tree[target] = _decode(aux.decode, aux_path, run.dist[sink_id])
-    return tree, run
+    run = resolve_kernel(heap)(aux.graph, aux.source_ids[source], scratch=scratch)
+    return decode_warm_tree(aux, source, run), run
+
+
+def run_trees(
+    aux: AllPairsGraph,
+    sources,
+    heap: str | Callable[[], AddressableHeap] = "flat",
+    scratch: ScratchBuffers | ScratchPool | None = None,
+) -> tuple[list, int, int, dict[str, int]]:
+    """Corollary 1's serial loop: one :func:`run_tree` per source, in order.
+
+    Returns ``(trees, settled, relaxations, heap_totals)`` — the
+    ``(source, tree)`` list plus the runs' summed work counters.  This is
+    the unit of work of a serial all-pairs run and of every process-pool
+    or server chunk; :func:`merge_all_pairs` folds such chunks together.
+    """
+    trees: list[tuple[NodeId, dict[NodeId, Semilightpath]]] = []
+    settled = relaxations = 0
+    heap_totals: dict[str, int] = {}
+    for source in sources:
+        tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
+        trees.append((source, tree))
+        settled += run.settled
+        relaxations += run.relaxations
+        for key, value in run.heap_stats.items():
+            heap_totals[key] = heap_totals.get(key, 0) + value
+    return trees, settled, relaxations, heap_totals
+
+
+def merge_all_pairs(sizes, chunks) -> AllPairsResult:
+    """Fold :func:`run_trees` chunks, in source order, into one result.
+
+    Paths are inserted chunk by chunk, so a chunked run's ``paths`` dict
+    iterates in exactly the serial run's order, and the work counters
+    sum to the serial totals.
+    """
+    paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
+    settled = relaxations = 0
+    heap_totals: dict[str, int] = {}
+    for trees, chunk_settled, chunk_relaxations, chunk_heap in chunks:
+        for source, tree in trees:
+            for target, path in tree.items():
+                paths[(source, target)] = path
+        settled += chunk_settled
+        relaxations += chunk_relaxations
+        for key, value in chunk_heap.items():
+            heap_totals[key] = heap_totals.get(key, 0) + value
+    return AllPairsResult(
+        paths=paths,
+        stats=QueryStats(
+            sizes=sizes,
+            settled=settled,
+            relaxations=relaxations,
+            heap=heap_totals,
+        ),
+    )
 
 
 def decode_warm_tree(
     aux: AllPairsGraph, source: NodeId, run
 ) -> dict[NodeId, Semilightpath]:
-    """Decode a full Corollary 1 tree from a warm run's parent forest.
+    """Decode a full Corollary 1 tree from an exhausted run's parent forest.
 
     *run* is anything exposing ``dist`` / ``parent`` arrays over
-    ``aux.graph`` ids after running to exhaustion (in practice a
-    :class:`~repro.shortestpath.flat.WarmRun`); the decode mirrors
-    :func:`run_tree` exactly.
+    ``aux.graph`` ids after running to exhaustion: a kernel's
+    :class:`~repro.shortestpath.dijkstra.DijkstraResult` (this is
+    :func:`run_tree`'s decode) or a warm
+    :class:`~repro.shortestpath.flat.WarmRun`.
     """
     tree: dict[NodeId, Semilightpath] = {}
     for target, sink_id in aux.sink_ids.items():

@@ -26,8 +26,7 @@ import threading
 from queue import Empty, Queue
 from typing import Any, Hashable
 
-from repro.core.instrumentation import QueryStats
-from repro.core.routing import AllPairsResult
+from repro.core.routing import AllPairsResult, merge_all_pairs
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
     NoPathError,
@@ -245,27 +244,14 @@ class RouterClient:
         if errors:
             raise errors[0]
 
-        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-        settled = relaxations = 0
-        heap_totals: dict[str, int] = {}
-        for chunk_reply in results:
-            _index, trees, chunk_settled, chunk_relax, chunk_heap = chunk_reply
-            for source, tree in trees:
-                for target, wire in tree:
-                    paths[(source, target)] = protocol.decode_path(wire)
-            settled += chunk_settled
-            relaxations += chunk_relax
-            for key, value in chunk_heap.items():
-                heap_totals[key] = heap_totals.get(key, 0) + value
-        return AllPairsResult(
-            paths=paths,
-            stats=QueryStats(
-                sizes=snapshot["sizes"],
-                settled=settled,
-                relaxations=relaxations,
-                heap=heap_totals,
-            ),
-        )
+        chunks = []
+        for _index, trees, settled, relaxations, heap_totals in results:
+            decoded = [
+                (source, {t: protocol.decode_path(w) for t, w in tree})
+                for source, tree in trees
+            ]
+            chunks.append((decoded, settled, relaxations, heap_totals))
+        return merge_all_pairs(snapshot["sizes"], chunks)
 
     # -- control plane --------------------------------------------------------
 

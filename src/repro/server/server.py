@@ -142,7 +142,7 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
 
             def compute():
                 refresh()
-                from repro.core.routing import run_tree
+                from repro.core.routing import run_trees
                 from repro.shortestpath.flat import ScratchBuffers
 
                 scratch = state.get("scratch")
@@ -150,25 +150,14 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
                     scratch = state["scratch"] = ScratchBuffers(
                         aux.graph.num_nodes
                     )
-                trees = []
-                settled = relaxations = 0
-                heap_totals: dict[str, int] = {}
-                for s in sources:
-                    tree, run = run_tree(aux, s, heap=heap, scratch=scratch)
-                    trees.append(
-                        (
-                            s,
-                            [
-                                (t, protocol.encode_path(p))
-                                for t, p in tree.items()
-                            ],
-                        )
-                    )
-                    settled += run.settled
-                    relaxations += run.relaxations
-                    for key, value in run.heap_stats.items():
-                        heap_totals[key] = heap_totals.get(key, 0) + value
-                return (index_, trees, settled, relaxations, heap_totals)
+                trees, settled, relaxations, heap_totals = run_trees(
+                    aux, sources, heap, scratch
+                )
+                wire = [
+                    (s, [(t, protocol.encode_path(p)) for t, p in tree.items()])
+                    for s, tree in trees
+                ]
+                return (index_, wire, settled, relaxations, heap_totals)
 
             value, epoch = shared.read_stable(compute)
             return {"chunk": value, "epoch": epoch}

@@ -41,11 +41,12 @@ from repro.core.routing import (
     LiangShenRouter,
     decode_warm_targets,
     decode_warm_tree,
+    run_tree,
 )
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import NoPathError
 from repro.shortestpath.delta import DeltaOverlay
-from repro.shortestpath.flat import WarmRun
+from repro.shortestpath.flat import ScratchPool, WarmRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import WDMNetwork
@@ -128,6 +129,7 @@ class EpochRouterCache:
         self._network: "WDMNetwork | None" = None
         self._inner: LiangShenRouter | None = None
         self._aux = None
+        self._scratch = ScratchPool()
         self._trees: dict[NodeId, dict[NodeId, Semilightpath]] = {}
         self._dirty: set[_DirtyKey] = set()
         self._full_dirty = True
@@ -428,7 +430,9 @@ class EpochRouterCache:
                 # _tree ran outside the lock/refresh protocol.  A real
                 # exception so the invariant holds under ``python -O``.
                 raise ValueError("epoch cache queried before refresh built a router")
-            tree, run = self._inner._tree_from(self._aux, source)
+            tree, run = run_tree(
+                self._aux, source, heap=self._heap, scratch=self._scratch
+            )
             self._trees[source] = tree
             if self._metrics is not None:
                 self._metrics.observe_query(

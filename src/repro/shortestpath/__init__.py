@@ -13,18 +13,15 @@ routers.  It provides:
 * Dijkstra with a pluggable heap and early target stop,
 * a flat-array Dijkstra fast path (:mod:`repro.shortestpath.flat`) —
   heapq with lazy deletion over the CSR arrays, with scratch buffers
-  reusable across queries (the routers' default kernel),
-* a Dial bucket-queue kernel (:mod:`repro.shortestpath.bucket`) that
-  activates on integer-lattice weights and falls back to the flat
-  kernel otherwise, and
+  reusable across queries (the routers' default kernel), and
 * Bellman–Ford (both classic synchronous rounds and SPFA queue forms).
 
-Kernel registry
----------------
-Every single-source kernel the routers can dispatch to is registered
-here under a short name (``"flat"``, ``"bucket"``, ``"binary"``,
-``"pairing"``, ``"fibonacci"``).  All registered kernels share one
-uniform signature::
+Kernel table
+------------
+Every single-source kernel the routers can dispatch to is listed in one
+name -> kernel table: ``"flat"`` (the serving kernel) and the Theorem-1
+addressable-heap references ``"binary"``, ``"pairing"`` and
+``"fibonacci"``.  All share one uniform signature::
 
     kernel(graph, sources, target=None, targets=None, scratch=None)
         -> DijkstraResult
@@ -32,21 +29,13 @@ uniform signature::
 and the ``(dist, node)`` tie-break contract — identical parent forests,
 hence identical decoded hop sequences.  Routers resolve a ``heap=`` value
 once via :func:`resolve_kernel` instead of string-matching at every call
-site; new kernels register once with :func:`register_kernel` and become
-available everywhere (routers, trees, the parallel all-pairs workers).
-A callable ``heap`` (an addressable-heap factory) keeps working: it is
-wrapped into the same uniform signature.
-
-The Theorem-4 restricted-case machinery
-(:mod:`repro.shortestpath.restricted`) is *not* a kernel — it is an
-auxiliary-structure specialization layered on top of whichever kernel is
-selected — and therefore lives outside the registry.
+site.  A callable ``heap`` (an addressable-heap factory) is wrapped into
+the same uniform signature.
 """
 
 from typing import Callable
 
 from repro.shortestpath.bellman_ford import bellman_ford, spfa
-from repro.shortestpath.bucket import bucket_dijkstra
 from repro.shortestpath.delta import DeltaOverlay, MaterializedOverlay
 from repro.shortestpath.dijkstra import DijkstraResult, dijkstra
 from repro.shortestpath.fibonacci import FibonacciHeap
@@ -68,26 +57,6 @@ from repro.shortestpath.structures import GraphBuilder, StaticGraph
 
 _KernelFn = Callable[..., DijkstraResult]
 
-_KERNELS: dict[str, _KernelFn] = {}
-
-
-def register_kernel(name: str, kernel: _KernelFn) -> None:
-    """Register *kernel* under *name* for ``heap=`` dispatch.
-
-    The kernel must honor the uniform signature and the ``(dist, node)``
-    tie-break contract (see the module docstring).  Re-registering a name
-    is an error — kernels are process-global and resolved by routers that
-    may already hold the old one.
-    """
-    if name in _KERNELS:
-        raise ValueError(f"kernel {name!r} is already registered")
-    _KERNELS[name] = kernel
-
-
-def kernel_names() -> tuple[str, ...]:
-    """Registered kernel names, in registration order."""
-    return tuple(_KERNELS)
-
 
 def _addressable_kernel(heap) -> _KernelFn:
     """Wrap an addressable-heap name/factory into the uniform signature.
@@ -102,13 +71,21 @@ def _addressable_kernel(heap) -> _KernelFn:
     return kernel
 
 
-def resolve_kernel(heap: "str | Callable") -> _KernelFn:
-    """Resolve a router ``heap=`` value to a registered kernel callable.
+_KERNELS: dict[str, _KernelFn] = {
+    "flat": flat_dijkstra,
+    "binary": _addressable_kernel("binary"),
+    "pairing": _addressable_kernel("pairing"),
+    "fibonacci": _addressable_kernel("fibonacci"),
+}
 
-    Strings look up the registry; a callable is treated as an
-    addressable-heap factory (the pre-registry extension point) and
-    wrapped.  Unknown names raise ``ValueError`` eagerly so a typo fails
-    at router construction, not mid-query.
+
+def resolve_kernel(heap: "str | Callable") -> _KernelFn:
+    """Resolve a router ``heap=`` value to a kernel callable.
+
+    Strings look up the kernel table; a callable is treated as an
+    addressable-heap factory and wrapped.  Unknown names raise
+    ``ValueError`` eagerly so a typo fails at router construction, not
+    mid-query.
     """
     if callable(heap):
         return _addressable_kernel(heap)
@@ -116,14 +93,8 @@ def resolve_kernel(heap: "str | Callable") -> _KernelFn:
         return _KERNELS[heap]
     except KeyError:
         known = ", ".join(sorted(_KERNELS))
-        raise ValueError(f"unknown kernel {heap!r}; registered: {known}") from None
+        raise ValueError(f"unknown kernel {heap!r}; known: {known}") from None
 
-
-register_kernel("flat", flat_dijkstra)
-register_kernel("bucket", bucket_dijkstra)
-for _name in ("binary", "pairing", "fibonacci"):
-    register_kernel(_name, _addressable_kernel(_name))
-del _name
 
 __all__ = [
     "BinaryHeap",
@@ -134,10 +105,7 @@ __all__ = [
     "dijkstra",
     "DijkstraResult",
     "flat_dijkstra",
-    "bucket_dijkstra",
-    "register_kernel",
     "resolve_kernel",
-    "kernel_names",
     "ScratchBuffers",
     "ScratchPool",
     "WarmRun",

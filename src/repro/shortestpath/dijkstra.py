@@ -118,10 +118,6 @@ def dijkstra(
         from repro.shortestpath.flat import flat_dijkstra
 
         return flat_dijkstra(graph, sources, target=target, targets=targets)
-    if isinstance(heap, str) and heap == "bucket":
-        from repro.shortestpath.bucket import bucket_dijkstra
-
-        return bucket_dijkstra(graph, sources, target=target, targets=targets)
     if isinstance(sources, int):
         source_tuple: tuple[int, ...] = (sources,)
     else:

@@ -20,49 +20,6 @@ from repro._validation import check_nonnegative_int
 
 __all__ = ["GraphBuilder", "StaticGraph"]
 
-#: Largest power-of-two weight multiplier :meth:`StaticGraph.lattice_scale`
-#: will try.  The verify subsystem draws costs from the quarter-integer
-#: lattice (scale 4); 64 leaves headroom for finer man-made lattices while
-#: keeping ``weight * scale`` products tiny integers.
-MAX_LATTICE_SCALE = 64
-
-#: Ceiling on ``scale * max_weight * num_nodes`` — a conservative bound on
-#: the largest bucket index a Dial queue over this graph could ever touch.
-#: Graphs past it report "no lattice" so the bucket kernel falls back to
-#: the flat kernel instead of allocating an absurd bucket directory.
-MAX_LATTICE_SPAN = 1 << 20
-
-_INF = float("inf")
-
-
-def _detect_lattice_scale(weights, num_nodes: int) -> int | None:
-    """Smallest power-of-two ``scale`` making every weight integral, or None.
-
-    Returns ``None`` when any weight is non-finite (a delta-masked graph —
-    the pristine weight behind a mask is unknown, so no scale can be
-    trusted), when no scale up to :data:`MAX_LATTICE_SCALE` works, or when
-    the bucket-span bound would exceed :data:`MAX_LATTICE_SPAN`.
-
-    Power-of-two scales only: multiplying a float by a power of two is
-    exact (a pure exponent shift), so ``int(dist * scale)`` and
-    ``bucket_index / scale`` round-trip bit-for-bit and a bucket-queue
-    Dijkstra reproduces the flat kernel's float distances exactly.
-    """
-    scale = 1
-    max_w = 0.0
-    for w in weights:
-        if w != w or w == _INF:
-            return None
-        if w > max_w:
-            max_w = w
-        while not (w * scale).is_integer():
-            scale *= 2
-            if scale > MAX_LATTICE_SCALE:
-                return None
-    if max_w * scale * max(num_nodes, 1) > MAX_LATTICE_SPAN:
-        return None
-    return scale
-
 
 class GraphBuilder:
     """Incremental builder for :class:`StaticGraph`.
@@ -168,7 +125,6 @@ class StaticGraph:
         "_weights",
         "_tags",
         "_edge_ids",
-        "_lattice",
     )
 
     def __init__(
@@ -186,7 +142,6 @@ class StaticGraph:
         self._weights = weights
         self._tags = tags
         self._edge_ids = edge_ids
-        self._lattice: int | None | bool = False  # False = not yet detected
 
     @property
     def num_nodes(self) -> int:
@@ -222,27 +177,6 @@ class StaticGraph:
         build would have produced.
         """
         return self._edge_ids
-
-    def lattice_scale(self) -> int | None:
-        """Power-of-two ``scale`` putting every weight on an integer lattice.
-
-        ``None`` when the weights are off-lattice (or the graph currently
-        carries delta-masked ``inf`` weights, or the implied bucket span is
-        too large) — callers must fall back to a comparison-based kernel.
-
-        Detected once and memoized.  The memo stays valid under the
-        delta-overlay layer's in-place masking: masking only toggles a
-        pristine finite weight to ``inf`` and back, a masked slot never
-        relaxes (``inf`` never improves a distance), and recovery restores
-        the exact build-time weight the detection already inspected.  A
-        graph first probed *while* masked conservatively memoizes ``None``
-        for its lifetime — the overlay epoch's rebuild gets a fresh graph
-        and a fresh detection.
-        """
-        cached = self._lattice
-        if cached is False:
-            cached = self._lattice = _detect_lattice_scale(self._weights, self._n)
-        return cached
 
     def csr(self) -> tuple[Sequence[int], Sequence[int], Sequence[float], Sequence[int]]:
         """The raw CSR arrays ``(offsets, heads, weights, tags)``.

@@ -9,8 +9,6 @@ semilightpath exists.  :func:`default_oracles` assembles the full matrix:
 oracle                                hop-exact  applicability
 ====================================  =========  ==========================
 ``liang:{overlay,rebuild}:<kernel>``  yes        always (8 combinations)
-``liang:bucket``                      yes        lattice link costs
-``liang:restricted``                  yes        restricted regime (small k₀)
 ``liang:all-pairs:serial``            yes        always
 ``liang:all-pairs:parallel``          yes        always (2-process pool)
 ``liang:delta:churn``                 yes        always
@@ -22,17 +20,8 @@ oracle                                hop-exact  applicability
 ``distributed:bellman-ford``          no         small state spaces
 ====================================  =========  ==========================
 
-``liang:bucket`` serves single-pair overlay queries through the Dial
-bucket-queue kernel; its gate (quarter-lattice link costs) is an
-optimization, not a correctness requirement — the kernel transparently
-falls back to ``flat`` when the overlay weights leave the lattice, and
-stays hop-exact either way.  ``liang:restricted`` forces the Theorem 4
-fast path (fused ``G'`` builder + terminal-free trees) and serves pairs
-out of per-source trees; it joins only where
-:func:`~repro.shortestpath.restricted.restricted_applicable` would
-auto-select it.  ``batch:lazy-forest`` serves from
-:class:`~repro.core.batch.BatchRouter`'s lazily-decoded parent forests —
-the coalesced-batch serving path.
+``batch:lazy-forest`` serves from :class:`~repro.core.batch.BatchRouter`'s
+lazily-decoded parent forests — the coalesced-batch serving path.
 
 ``liang:delta:churn`` and ``cache:incremental`` answer from state that
 survived a *net-zero* fail/recover churn through the incremental
@@ -107,35 +96,10 @@ class Oracle:
             return scenario.chain_free
         if self.name in ("brute-force", "distributed:bellman-ford"):
             return network.num_nodes * network.num_wavelengths <= SMALL_STATE_LIMIT
-        if self.name == "liang:bucket":
-            return _lattice_link_costs(network)
-        if self.name == "liang:restricted":
-            from repro.shortestpath.restricted import restricted_applicable
-
-            return restricted_applicable(network)
         return True
 
     def __repr__(self) -> str:
         return f"Oracle({self.name!r})"
-
-
-def _lattice_link_costs(network: "WDMNetwork") -> bool:
-    """True when every link cost sits on the scaled-integer lattice.
-
-    Mirrors the overlay-level detection in
-    :func:`repro.shortestpath.structures._detect_lattice_scale` but probes
-    only the physical link costs — cheap, and sufficient for the generated
-    scenario corpus whose costs (links *and* conversions) are all
-    quarter-integers.  A false positive is harmless: the bucket kernel
-    re-detects on the actual overlay weights and falls back to ``flat``.
-    """
-    from repro.shortestpath.structures import MAX_LATTICE_SCALE
-
-    return all(
-        (cost * MAX_LATTICE_SCALE).is_integer()
-        for link in network.links()
-        for cost in link.costs.values()
-    )
 
 
 def _none_on_nopath(route: Callable[[NodeId, NodeId], Semilightpath]) -> RouteFn:
@@ -266,31 +230,6 @@ def _cache_incremental(network: "WDMNetwork") -> RouteFn:
     return probe
 
 
-def _liang_bucket(network: "WDMNetwork") -> RouteFn:
-    """Single-pair overlay queries through the Dial bucket-queue kernel."""
-    router = LiangShenRouter(network, heap="bucket")
-    return _none_on_nopath(lambda s, t: router.route(s, t).path)
-
-
-def _liang_restricted(network: "WDMNetwork") -> RouteFn:
-    """Theorem 4 forced on: fused ``G'`` builder + terminal-free trees.
-
-    Serves pairs out of per-source :meth:`route_tree` results (cached per
-    prepared network) so the tree path — not just the builder — is what
-    gets differentially checked.
-    """
-    router = LiangShenRouter(network, restricted=True)
-    trees: dict[NodeId, dict[NodeId, Semilightpath]] = {}
-
-    def route(source: NodeId, target: NodeId) -> Semilightpath | None:
-        tree = trees.get(source)
-        if tree is None:
-            tree = trees[source] = router.route_tree(source)
-        return tree.get(target)
-
-    return route
-
-
 def _batch_lazy_forest(network: "WDMNetwork") -> RouteFn:
     """Serve from :class:`BatchRouter`'s lazily-decoded parent forests."""
     from repro.core.batch import BatchRouter
@@ -406,14 +345,6 @@ def default_oracles(parallel_workers: int = 2) -> tuple[Oracle, ...]:
                     exact_hops=True,
                 )
             )
-    oracles.append(
-        Oracle(name="liang:bucket", prepare=_liang_bucket, exact_hops=True)
-    )
-    oracles.append(
-        Oracle(
-            name="liang:restricted", prepare=_liang_restricted, exact_hops=True
-        )
-    )
     oracles.append(
         Oracle(
             name="liang:all-pairs:serial",

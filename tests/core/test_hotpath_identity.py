@@ -11,6 +11,13 @@ must reproduce the serial result verbatim.
 
 import pytest
 
+from repro.core.conversion import (
+    FixedCostConversion,
+    MatrixConversion,
+    NoConversion,
+    RangeLimitedConversion,
+)
+from repro.core.network import WDMNetwork
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import NoPathError
 from repro.topology.generators import grid_network, ring_network, waxman_network
@@ -20,6 +27,26 @@ from repro.topology.reference import (
     paper_figure1_network,
 )
 
+
+def mixed_models_network():
+    """Every conversion model on one small network, with k₀ = 2 < k = 3."""
+    net = WDMNetwork(num_wavelengths=3, default_conversion=FixedCostConversion(0.5))
+    for v in range(5):
+        net.add_node(v)
+    net.set_conversion(1, NoConversion())
+    net.set_conversion(2, RangeLimitedConversion(1, cost_per_step=0.25))
+    net.set_conversion(
+        3, MatrixConversion({(0, 1): 1.0, (1, 2): 1.0, (2, 0): 2.0, (1, 1): 0.0})
+    )
+    net.add_link(0, 1, {0: 1.0, 1: 2.0})
+    net.add_link(1, 2, {1: 1.0, 2: 0.5})
+    net.add_link(2, 3, {0: 0.25, 2: 1.0})
+    net.add_link(3, 4, {1: 1.5})
+    net.add_link(4, 0, {0: 2.0, 1: 0.5})
+    net.add_link(1, 3, {2: 3.0})
+    return net
+
+
 TOPOLOGIES = {
     "paper_fig1": lambda: paper_figure1_network(),
     "nsfnet": lambda: nsfnet_network(num_wavelengths=4, seed=1),
@@ -27,6 +54,7 @@ TOPOLOGIES = {
     "ring16": lambda: ring_network(16, 4, seed=3),
     "grid4x4": lambda: grid_network(4, 4, 3, seed=4),
     "waxman20": lambda: waxman_network(20, 4, seed=5),
+    "mixed_models": mixed_models_network,
 }
 
 

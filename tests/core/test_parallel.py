@@ -129,23 +129,20 @@ class TestValidation:
 
 
 class TestSharedMemoryPath:
-    """The zero-copy pool path (``shared=True``, the default) vs legacy."""
+    """The zero-copy pool path and its serial fallback."""
 
-    def test_shared_and_pickled_paths_both_match_serial(self):
+    def test_shared_path_matches_serial(self):
         net = paper_figure1_network()
         serial = LiangShenRouter(net).route_all_pairs()
-        via_shared = route_all_pairs_parallel(net, workers=2, shared=True)
-        via_pickle = route_all_pairs_parallel(net, workers=2, shared=False)
+        via_shared = route_all_pairs_parallel(net, workers=2)
         assert _as_comparable(via_shared) == _as_comparable(serial)
-        assert _as_comparable(via_pickle) == _as_comparable(serial)
         assert list(via_shared.paths) == list(serial.paths)
-        assert list(via_pickle.paths) == list(serial.paths)
 
     def test_no_segment_outlives_the_run(self):
         from repro.shortestpath.shared import leaked_segments
 
         before = set(leaked_segments())
-        route_all_pairs_parallel(paper_figure1_network(), workers=2, shared=True)
+        route_all_pairs_parallel(paper_figure1_network(), workers=2)
         assert set(leaked_segments()) - before == set()
 
     def test_segment_reaped_even_when_a_worker_raises(self):
@@ -154,19 +151,23 @@ class TestSharedMemoryPath:
         before = set(leaked_segments())
         with pytest.raises(ValueError, match="bogus"):
             route_all_pairs_parallel(
-                paper_figure1_network(), workers=2, heap="bogus", shared=True
+                paper_figure1_network(), workers=2, heap="bogus"
             )
         assert set(leaked_segments()) - before == set()
 
-    def test_share_failure_falls_back_to_pickled_path(self, monkeypatch):
+    def test_share_failure_falls_back_to_serial(self, monkeypatch):
+        import repro.core.parallel as parallel_mod
         import repro.shortestpath.shared as shared_mod
 
-        def explode(aux):
-            raise OSError("no shm for you")
+        def explode(*args, **kwargs):
+            raise OSError("no shared memory")
 
+        # Without shared memory no pool may start: the run must complete
+        # in this process.
         monkeypatch.setattr(shared_mod, "share_all_pairs_graph", explode)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", explode)
         net = paper_figure1_network()
-        result = route_all_pairs_parallel(net, workers=2, shared=True)
-        assert _as_comparable(result) == _as_comparable(
-            LiangShenRouter(net).route_all_pairs()
-        )
+        result = route_all_pairs_parallel(net, workers=2)
+        serial = LiangShenRouter(net).route_all_pairs()
+        assert _as_comparable(result) == _as_comparable(serial)
+        assert list(result.paths) == list(serial.paths)
