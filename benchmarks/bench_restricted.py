@@ -19,25 +19,40 @@ from repro.exceptions import NoPathError
 from benchmarks.conftest import restricted_wan
 
 
-def _median_query_time(net, repeats: int = 5) -> float:
-    nodes = net.nodes()
-    router = LiangShenRouter(net)
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for s, t in [(nodes[0], nodes[-1]), (nodes[1], nodes[len(nodes) // 2])]:
-            try:
-                router.route(s, t)
-            except NoPathError:
-                pass
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+def _query_pass(router, nodes) -> None:
+    for s, t in [(nodes[0], nodes[-1]), (nodes[1], nodes[len(nodes) // 2])]:
+        try:
+            router.route(s, t)
+        except NoPathError:
+            pass
+
+
+def _median_query_times(nets, rounds: int = 15) -> list[float]:
+    """Median time of one query pass per network, timed round-robin.
+
+    Every router is built and its ``G'`` warmed before any timing; each
+    round then times one pass on every network in turn, so a slow phase
+    of the host lands on all networks alike rather than on whichever
+    one was being timed.
+    """
+    routers = []
+    for net in nets:
+        router = LiangShenRouter(net)
+        _query_pass(router, net.nodes())  # builds G'
+        routers.append((router, net.nodes()))
+    samples: list[list[float]] = [[] for _ in routers]
+    for _ in range(rounds):
+        for (router, nodes), times in zip(routers, samples):
+            start = time.perf_counter()
+            _query_pass(router, nodes)
+            times.append(time.perf_counter() - start)
+    return [statistics.median(times) for times in samples]
 
 
 def test_time_independent_of_k(benchmark, report):
     n, k0 = 128, 3
     ks = [8, 32, 128, 512]
-    times = [_median_query_time(restricted_wan(n, k, k0, seed=9)) for k in ks]
+    times = _median_query_times([restricted_wan(n, k, k0, seed=9) for k in ks])
     fit = fit_power_law(ks, times)
     report(
         f"THM4: query time vs universe size k (n={n}, k0={k0})",
@@ -62,7 +77,7 @@ def test_time_grows_with_k0(benchmark, report):
     """The flip side: the d²nk₀² term makes k₀ the real knob."""
     n, k = 128, 64
     k0s = [1, 2, 4, 8]
-    times = [_median_query_time(restricted_wan(n, k, k0, seed=10)) for k0 in k0s]
+    times = _median_query_times([restricted_wan(n, k, k0, seed=10) for k0 in k0s])
     report(
         f"THM4: query time vs per-link bound k0 (n={n}, k={k})",
         growth_table(k0s, {"seconds": times}, x_name="k0"),

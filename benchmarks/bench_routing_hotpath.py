@@ -17,11 +17,11 @@ It measures four things and writes ``BENCH_routing.json``:
   next to the machine's CPU count (a 1-CPU container cannot show a
   parallel win; the numbers say so honestly).
 * **Fault churn** — an alternating degrade/recover + query stream served
-  by two epoch caches: full invalidation (every fault rebuilds
-  ``G_all``) against incremental delta-epoch patching (CSR masking +
-  warm-run repair).  Both sides answer the identical stream; answers
-  are compared hop-for-hop and a sample is certificate-checked against
-  the degraded network of the moment.
+  by two epoch caches: one told ``invalidate()`` on every fault (every
+  fault rebuilds ``G_all``) and one told which channel changed (CSR
+  masking + warm-run repair).  Both sides answer the identical stream;
+  answers are compared hop-for-hop and a sample is certificate-checked
+  against the degraded network of the moment.
 * **Result identity** — every timed query is cross-checked: exact cost
   equality and identical hop sequences between the seed and hot paths,
   and all-pairs parallel output equal to serial.
@@ -261,15 +261,29 @@ def _churn_schedule(net, events: int, queries_per_event: int):
     return schedule
 
 
-def _run_churn(net, schedule, incremental: bool, certificate_every: int = 0):
-    """Replay *schedule* through one cache configuration.
+def _notify_invalidate(cache, kind, tail, head, w):
+    """Full-rebuild arm: every fault is an arbitrary change."""
+    cache.invalidate()
+
+
+def _notify_channel(cache, kind, tail, head, w):
+    """Patched arm: name the channel that failed or recovered."""
+    if kind == "channel_fail":
+        cache.mark_channel_degraded(tail, head, w)
+    else:
+        cache.mark_channel_recovered(tail, head, w)
+
+
+def _run_churn(net, schedule, notify, certificate_every: int = 0):
+    """Replay *schedule* through one cache, telling it of each fault via
+    ``notify(cache, kind, tail, head, w)``.
 
     Returns the answers (for cross-checking), the cache counters, the
     total churn wall time, the average fault-to-first-answer latency,
     and any certificate violations found on the sampled answers.
     """
     injector = FaultInjector(net)
-    cache = EpochRouterCache(injector.network_view, incremental=incremental)
+    cache = EpochRouterCache(injector.network_view)
     first = schedule[0][2][0]
     try:
         cache.route(*first)  # initial build is not churn; keep it untimed
@@ -283,10 +297,7 @@ def _run_churn(net, schedule, incremental: bool, certificate_every: int = 0):
     for step, (kind, (tail, head, w), queries) in enumerate(schedule):
         fault_start = time.perf_counter()
         injector.apply(FaultEvent(0.5, kind, tail=tail, head=head, wavelength=w))
-        if kind == "channel_fail":
-            cache.mark_channel_degraded(tail, head, w)
-        else:
-            cache.mark_channel_recovered(tail, head, w)
+        notify(cache, kind, tail, head, w)
         for j, (s, t) in enumerate(queries):
             try:
                 path = cache.route(s, t)
@@ -325,7 +336,7 @@ def bench_fault_churn(
     """Full-invalidation vs delta-patched serving on one churn stream."""
     schedule = _churn_schedule(net, events, queries_per_event)
     full_answers, full_counters, t_full, t_full_first, _, errs_full = _run_churn(
-        net, schedule, incremental=False
+        net, schedule, _notify_invalidate
     )
     (
         delta_answers,
@@ -334,7 +345,7 @@ def bench_fault_churn(
         t_delta_first,
         certs,
         errs_delta,
-    ) = _run_churn(net, schedule, incremental=True, certificate_every=5)
+    ) = _run_churn(net, schedule, _notify_channel, certificate_every=5)
 
     errors = errs_full + errs_delta
     for i, (full, delta) in enumerate(zip(full_answers, delta_answers)):

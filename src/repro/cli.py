@@ -632,7 +632,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             num_faults=args.faults,
             cost_perturbation=perturbation,
             corpus_dir=args.repro_dir,
-            incremental=args.incremental,
         )
         report = soak.run()
         print(f"[{name}]")
@@ -1298,11 +1297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--repro-dir", default="chaos-repros",
         help="where shrunk violation repros are persisted",
-    )
-    p_chaos.add_argument(
-        "--incremental", action="store_true",
-        help="run the epoch cache in incremental (delta-overlay) mode and "
-        "parity-check every patched answer against a fresh router",
     )
     p_chaos.add_argument(
         "--inject-cost-bug", action="store_true",

@@ -19,6 +19,9 @@
    * stale answers are explicitly flagged and their count matches the
      ``service.stale_served`` metric;
    * the cache epoch is monotonically non-decreasing;
+   * after every network-resource fault, a parity probe demands the
+     cache's next answers — usually served off a patched ``G_all`` —
+     agree hop for hop with a fresh router on the degraded view;
    * circuit-breaker transitions follow the legal state machine, and a
      deterministic drill drives a full open → half-open → closed cycle;
    * after the last fault clears, the service re-converges to
@@ -66,7 +69,7 @@ __all__ = ["ChaosSoak", "SoakReport"]
 NodeId = Hashable
 
 #: Fault kinds that change the network (vs engine-level latency/exception
-#: faults).  In incremental mode each one triggers a parity probe.
+#: faults).  Each one triggers a parity probe.
 _NETWORK_FAULT_KINDS = frozenset({
     "link_fail",
     "link_recover",
@@ -106,7 +109,6 @@ class SoakReport:
     persisted: list[str] = field(default_factory=list)
     recovery_pairs_checked: int = 0
     recovery_seconds: float = 0.0
-    incremental: bool = False
     parity_checks: int = 0
     parity_mismatches: int = 0
     cache_patches: int = 0
@@ -147,13 +149,10 @@ class SoakReport:
             ),
             f"  recovery: {self.recovery_pairs_checked} pair(s) byte-identical "
             f"vs fresh router in {self.recovery_seconds:.2f}s",
+            f"  cache: {self.parity_checks} parity probe(s), "
+            f"{self.parity_mismatches} mismatch(es); patched "
+            f"{self.cache_patches}x, rebuilt {self.cache_rebuilds}x",
         ]
-        if self.incremental:
-            lines.append(
-                f"  incremental: {self.parity_checks} parity probe(s), "
-                f"{self.parity_mismatches} mismatch(es); cache patched "
-                f"{self.cache_patches}x, rebuilt {self.cache_rebuilds}x"
-            )
         if self.violations_total:
             shown = len(self.violations)
             label = (
@@ -229,14 +228,13 @@ class ChaosSoak:
         reproducible).  ``None`` disables persistence.
     max_recovery_pairs:
         Cap on the pairs compared against a fresh router at the end.
-    incremental:
-        Run the service's epoch cache in incremental (delta-overlay)
-        mode.  Every network-resource fault is then followed by a parity
-        probe: the cache's next answer — usually served off a *patched*
-        overlay rather than a rebuild — must agree hop-for-hop with a
-        fresh router on the current degraded view.  Probes are logged to
-        the event log as ``parity_check`` events, tagged ``patched`` or
-        ``rebuilt``, and any mismatch is a violation.
+
+    Every network-resource fault is followed by a parity probe: the
+    cache's next answer — usually served off a *patched* ``G_all``
+    rather than a rebuild — must agree hop-for-hop with a fresh router
+    on the current degraded view.  Probes are logged to the event log as
+    ``parity_check`` events, tagged ``patched``, ``rebuilt`` or
+    ``reused``, and any mismatch is a violation.
     """
 
     def __init__(
@@ -253,7 +251,6 @@ class ChaosSoak:
         max_recovery_pairs: int = 64,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        incremental: bool = False,
     ) -> None:
         if duration <= 0:
             raise ValueError("duration must be > 0")
@@ -270,10 +267,7 @@ class ChaosSoak:
         self.cost_perturbation = cost_perturbation
         self.corpus_dir = corpus_dir
         self.max_recovery_pairs = max_recovery_pairs
-        self.incremental = incremental
-        self.report = SoakReport(
-            seed=seed, duration=duration, incremental=incremental
-        )
+        self.report = SoakReport(seed=seed, duration=duration)
 
         self.event_log = EventLog()
         self.injector = FaultInjector(self.base, observer=self.event_log)
@@ -302,8 +296,6 @@ class ChaosSoak:
             workers=workers,
             retry=self.retry,
             breaker=self.breaker,
-            allow_stale=True,
-            incremental=incremental,
         )
         if cost_perturbation:
             self.service.engine.cache = _PerturbedCache(
@@ -409,11 +401,11 @@ class ChaosSoak:
         if event.kind == "worker_crash":
             self.injector.take_pending_crash()
             self._exercise_worker_crash()
-        elif self.incremental and event.kind in _NETWORK_FAULT_KINDS:
+        elif event.kind in _NETWORK_FAULT_KINDS:
             self._parity_probe(event)
 
     def _parity_probe(self, event: FaultEvent) -> None:
-        """Incremental-mode oracle: patched answers == fresh-router answers.
+        """Patched answers == fresh-router answers.
 
         Runs right after a network-resource fault lands.  The next cache
         query applies the queued delta (or falls back to a rebuild); its
@@ -466,7 +458,7 @@ class ChaosSoak:
             if not ok:
                 self.report.parity_mismatches += 1
                 self.report.add_violation(
-                    f"incremental parity mismatch ({mode}, after "
+                    f"parity mismatch ({mode}, after "
                     f"{event.kind}) for {source!r}->{target!r}: cache "
                     f"{served.hops if served else None}, fresh router "
                     f"{expected.hops if expected else None}"

@@ -12,11 +12,9 @@ pending.  It exposes:
   and every cache rebuild picks up the current fault set.
 * :meth:`~FaultInjector.apply` — apply one
   :class:`~repro.faults.plan.FaultEvent`, mutating the fault state,
-  notifying the attached service's epoch/invalidation machinery
-  (per-channel degradation for resource *failures* — removals keep
-  untouched cached trees, exactly the cache's documented rule; full
-  invalidation for *recoveries* and converter changes), and logging to an
-  optional observer (:class:`~repro.wdm.events.EventLog` is one).
+  notifying the attached service which resource failed or recovered
+  (the epoch cache patches exactly that resource in place), and logging
+  to an optional observer (:class:`~repro.wdm.events.EventLog` is one).
 * :meth:`~FaultInjector.worker_hook` — the engine-side injection point:
   installed as ``QueryEngine.fault_hook``, it consumes pending latency /
   exception faults inside worker threads, right where a flaky backend
@@ -241,11 +239,9 @@ class FaultInjector:
         """Drive the attached service's epoch machinery for *event*.
 
         Every network-resource event maps to its own fine-grained
-        notification so caches that can patch in place (incremental
-        mode) see exactly which resource changed.  Against a
-        non-incremental cache the recovery/converter notifications
-        degrade to the historical full invalidation.  Fiber events cover
-        both directions — the injector fails fibers, not directed links.
+        notification, so the epoch cache sees exactly which resource
+        changed and patches it in place.  Fiber events cover both
+        directions — the injector fails fibers, not directed links.
         """
         service = self._service
         if service is None:

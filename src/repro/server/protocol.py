@@ -108,6 +108,22 @@ def decode_frame(data: bytes) -> tuple[Op, Any, int]:
         raise ProtocolError(
             f"truncated frame: {len(data)} bytes, need {HEADER_SIZE} for a header"
         )
+    op, length = _parse_header(data)
+    end = HEADER_SIZE + length
+    if len(data) < end:
+        raise ProtocolError(
+            f"truncated frame: {len(data)} bytes, header declares {end}"
+        )
+    return op, _load_payload(data[HEADER_SIZE:end]), end
+
+
+def _parse_header(data: bytes) -> tuple[Op, int]:
+    """Validate the header at the front of *data*; ``(opcode, length)``.
+
+    Raises :class:`ProtocolError` on bad magic, wrong version, nonzero
+    reserved flags, an unknown opcode or an oversized length field —
+    before any payload byte is read.
+    """
     magic, version, opcode, flags, length = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
@@ -121,16 +137,14 @@ def decode_frame(data: bytes) -> tuple[Op, Any, int]:
         raise ProtocolError(
             f"declared payload of {length} bytes exceeds MAX_PAYLOAD"
         )
-    end = HEADER_SIZE + length
-    if len(data) < end:
-        raise ProtocolError(
-            f"truncated frame: {len(data)} bytes, header declares {end}"
-        )
+    return Op(opcode), length
+
+
+def _load_payload(raw: bytes) -> Any:
     try:
-        payload = pickle.loads(data[HEADER_SIZE:end])
+        return pickle.loads(raw)
     except Exception as exc:
         raise ProtocolError(f"undecodable payload: {exc}") from exc
-    return Op(opcode), payload, end
 
 
 def send_frame(sock: socket.socket, op: Op | int, payload: Any = None) -> None:
@@ -160,27 +174,11 @@ def read_frame(sock: socket.socket) -> tuple[Op, Any] | None:
     header = _recv_exact(sock, HEADER_SIZE)
     if header is None:
         return None
-    magic, version, opcode, flags, length = _HEADER.unpack_from(header, 0)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    if flags != 0:
-        raise ProtocolError(f"reserved flags set: {flags:#06x}")
-    if opcode not in _OPCODES:
-        raise ProtocolError(f"unknown opcode {opcode:#04x}")
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(
-            f"declared payload of {length} bytes exceeds MAX_PAYLOAD"
-        )
+    op, length = _parse_header(header)
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise ProtocolError("connection closed between header and payload")
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:
-        raise ProtocolError(f"undecodable payload: {exc}") from exc
-    return Op(opcode), payload
+    return op, _load_payload(body)
 
 
 # -- semilightpath wire form --------------------------------------------------
@@ -228,7 +226,7 @@ def valid_ip(ip: str) -> str:
 
 
 def valid_port(port: str) -> int:
-    """Argparse type: an integer TCP port in [1, 65535] (0 = ephemeral)."""
+    """Argparse type: an integer TCP port in [0, 65535] (0 = ephemeral)."""
     try:
         value = int(port)
     except ValueError:

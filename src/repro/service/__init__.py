@@ -11,8 +11,8 @@ Layers (see ``docs/service.md``):
 
 * :mod:`repro.service.metrics` — counters, gauges, histograms, registry.
 * :mod:`repro.service.cache` — :class:`EpochRouterCache`, the
-  epoch-versioned ``G_all`` / tree cache with full and per-channel
-  invalidation.
+  epoch-versioned ``G_all`` / tree cache: full invalidation rebuilds,
+  per-resource notifications patch ``G_all`` and repair trees in place.
 * :mod:`repro.service.engine` — :class:`QueryEngine`, the bounded-queue
   worker pool with same-source coalescing.
 * :mod:`repro.service.service` — :class:`RoutingService`, the facade the

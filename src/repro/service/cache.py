@@ -8,23 +8,28 @@ changing.  :class:`EpochRouterCache` closes that gap with a
 monotonically increasing **epoch**:
 
 * Every mutation notification bumps the epoch (cheap — no rebuild).
-* Queries lazily reconcile: the first query after a bump rebuilds
-  ``G_all`` against the network provider's *current* view and prunes
-  cached trees.
-* Two invalidation granularities:
+* Queries lazily reconcile: the first query after a bump brings the
+  cached ``G_all`` and trees up to the current epoch.
+* Two kinds of notification:
 
   - :meth:`invalidate` — anything may have changed (channels released,
-    topology edited, costs re-priced).  All cached trees are dropped.
-  - :meth:`mark_channel_degraded` / :meth:`mark_path_reserved` —
-    channels were *removed* from the residual network (a reservation).
-    Removing resources can only raise optimal costs, so a cached tree
-    whose paths avoid every degraded channel is still optimal and is
-    **kept** across the epoch bump.  Only trees actually touching a
-    degraded channel are dropped.
+    topology edited, costs re-priced).  The next query rebuilds ``G_all``
+    from the network provider and drops every cached tree.
+  - the ``mark_*`` methods — one named resource (a channel, a link, a
+    converter bank, the channels of a reserved path) was removed or came
+    back.  The next query patches the cached ``G_all`` in place
+    (:class:`~repro.shortestpath.delta.DeltaOverlay` masks or unmasks its
+    CSR slots) instead of rebuilding it.  Removals repair the cached
+    trees through their warm search state
+    (:class:`~repro.shortestpath.flat.WarmRun`), re-settling only the
+    damaged region; recoveries can lower distances, which warm state
+    cannot express, so they drop the trees but keep the patched overlay.
 
-The degradation rule is the load-bearing optimization for on-line
-provisioning: admissions far apart in the network leave most cached
-trees valid.
+A resource the overlay cannot express — one that was already dark when
+``G_all`` was built and now recovers — falls back to the full rebuild.
+Either way every answer is hop-identical to a cold
+:class:`~repro.core.routing.LiangShenRouter` on the provider's current
+view.
 
 Thread safety: all public methods take an internal lock; the cache may
 be shared by the query engine's worker pool.
@@ -36,17 +41,16 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.core.auxiliary import KIND_SINK
+from repro.core.auxiliary import KIND_SINK, build_all_pairs_graph
 from repro.core.routing import (
     LiangShenRouter,
     decode_warm_targets,
     decode_warm_tree,
-    run_tree,
 )
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import NoPathError
 from repro.shortestpath.delta import DeltaOverlay
-from repro.shortestpath.flat import ScratchPool, WarmRun
+from repro.shortestpath.flat import WarmRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import WDMNetwork
@@ -55,17 +59,17 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EpochRouterCache"]
 
 NodeId = Hashable
-#: A degraded channel: (tail, head, wavelength); wavelength None = whole link.
-_DirtyKey = tuple[NodeId, NodeId, "int | None"]
 
 
-class _WarmTree:
-    """A cached tree's warm search state plus its not-yet-redecoded targets."""
+class _Tree:
+    """One source's cached tree: warm search state, decoded paths, and the
+    targets a repair damaged (re-decoded on the next lookup)."""
 
-    __slots__ = ("run", "dirty")
+    __slots__ = ("run", "paths", "dirty")
 
-    def __init__(self, run: WarmRun) -> None:
+    def __init__(self, run: WarmRun, paths: dict[NodeId, Semilightpath]) -> None:
         self.run = run
+        self.paths = paths
         self.dirty: set[NodeId] = set()
 
 
@@ -79,25 +83,12 @@ class EpochRouterCache:
         or a zero-argument callable returning the current network view
         (e.g. a provisioner's ``residual_network`` — called once per
         rebuild, never per query).
-    heap:
-        Dijkstra heap choice, forwarded to :class:`LiangShenRouter`.
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; when
         given, the cache maintains ``cache.hits`` / ``cache.misses`` /
-        ``cache.rebuilds`` / ``cache.trees_kept`` / ``cache.trees_dropped``
-        (plus, in incremental mode, ``cache.patches`` /
-        ``cache.tree_patches``) counters and a ``cache.epoch`` gauge.
-    incremental:
-        Opt-in delta-epoch maintenance (default off — the legacy
-        invalidation semantics are unchanged).  When on, fault and
-        recovery notifications queue patch ops; the next refresh masks or
-        unmasks the affected CSR slots of the cached ``G_all`` in place
-        (:class:`~repro.shortestpath.delta.DeltaOverlay`) instead of
-        rebuilding it, and cached trees are repaired via warm-started
-        Dijkstra (:class:`~repro.shortestpath.flat.WarmRun`) rather than
-        recomputed.  A full rebuild still happens when an event predates
-        the current overlay (returns ``None`` from the delta layer) or on
-        :meth:`invalidate`; it remains the correctness oracle.
+        ``cache.rebuilds`` / ``cache.patches`` / ``cache.tree_patches`` /
+        ``cache.trees_kept`` / ``cache.trees_dropped`` counters and a
+        ``cache.epoch`` gauge.
 
     Example
     -------
@@ -113,33 +104,23 @@ class EpochRouterCache:
     def __init__(
         self,
         network: "WDMNetwork | Callable[[], WDMNetwork]",
-        heap: str = "flat",
         metrics: "MetricsRegistry | None" = None,
-        incremental: bool = False,
     ) -> None:
         self._factory: Callable[[], "WDMNetwork"] = (
             network if callable(network) else (lambda: network)
         )
-        self._heap = heap
         self._metrics = metrics
-        self._incremental = bool(incremental)
         self._lock = threading.RLock()
         self._epoch = 0
         self._built_epoch = -1  # nothing built yet
         self._network: "WDMNetwork | None" = None
-        self._inner: LiangShenRouter | None = None
         self._aux = None
-        self._scratch = ScratchPool()
-        self._trees: dict[NodeId, dict[NodeId, Semilightpath]] = {}
-        self._dirty: set[_DirtyKey] = set()
-        self._full_dirty = True
-        # Incremental mode: the delta overlay over the cached G_all, the
-        # queued fault/recovery patch ops (applied lazily at refresh,
-        # like the legacy dirty set), and per-source warm search state.
-        # Invariant while incremental: _warm.keys() == _trees.keys().
         self._delta: DeltaOverlay | None = None
+        self._full_dirty = True
+        # Patch ops queued by the mark_* notifications, applied to the
+        # delta overlay lazily at the next refresh.
         self._patch_ops: list[tuple] = []
-        self._warm: dict[NodeId, _WarmTree] = {}
+        self._trees: dict[NodeId, _Tree] = {}
         # Counters mirrored into the registry (when one is attached) so
         # they are inspectable even without metrics.
         self.hits = 0
@@ -180,121 +161,84 @@ class EpochRouterCache:
         if self._metrics is not None:
             self._metrics.gauge("cache.epoch").set(self._epoch)
 
+    def _count(self, name: str, amount: int = 1) -> None:
+        if self._metrics is not None and amount:
+            self._metrics.counter(f"cache.{name}").inc(amount)
+
     def invalidate(self) -> None:
         """Full invalidation: the network may have changed arbitrarily.
 
-        Cheap — only bumps the epoch and marks everything dirty; the
-        rebuild happens lazily on the next query.
+        This is also the notification for a cost change.  Cheap — only
+        bumps the epoch; the rebuild happens lazily on the next query.
         """
         with self._lock:
             self._full_dirty = True
-            self._dirty.clear()
             self._patch_ops.clear()
+            self._bump()
+
+    def _queue(self, *ops: tuple) -> None:
+        """Queue patch ops for the next refresh and bump the epoch once.
+
+        While a full rebuild is pending the ops are dropped: the rebuild
+        reads the provider's current view, which already reflects them.
+        """
+        with self._lock:
+            if not self._full_dirty:
+                self._patch_ops.extend(ops)
             self._bump()
 
     def mark_channel_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
-        """A channel was removed (or its cost raised) on one link.
+        """A channel was removed from one link.
 
-        With ``wavelength=None`` the whole link is marked.  Cached trees
-        that avoid every degraded channel survive the epoch bump (see
-        module docstring for why that is safe).  In incremental mode the
-        event is queued as a patch op instead: the next refresh masks the
-        affected CSR slots in place and repairs warm trees rather than
-        rebuilding ``G_all``.
+        With ``wavelength=None`` every channel of the link is removed.
+        The next refresh masks the affected CSR slots in place and
+        repairs the cached trees.  A cost change is not a removal: send
+        it through :meth:`invalidate`.
         """
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    if wavelength is None:
-                        self._patch_ops.append(("link_fail", tail, head))
-                    else:
-                        self._patch_ops.append(
-                            ("channel_fail", tail, head, wavelength)
-                        )
-            elif not self._full_dirty:
-                self._dirty.add((tail, head, wavelength))
-            self._bump()
+        if wavelength is None:
+            self._queue(("link_fail", tail, head))
+        else:
+            self._queue(("channel_fail", tail, head, wavelength))
 
     def mark_channel_recovered(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
         """A channel (or, with ``wavelength=None``, a link) came back.
 
-        Recoveries add resources, which can improve arbitrary routes —
-        without incremental mode this is a full invalidation (matching
-        the fault injector's historical behavior).  In incremental mode
-        the patched overlay unmasks the affected slots in place; only the
-        decoded trees are dropped (distances may decrease, so warm search
-        state cannot be repaired), while the ``O(k²n + km)`` overlay
-        rebuild is still skipped.
+        The next refresh unmasks the affected slots in place.  Recoveries
+        can improve arbitrary routes, so the decoded trees are dropped
+        (distances may decrease, which warm search state cannot repair),
+        while the ``O(k²n + km)`` rebuild of ``G_all`` is still skipped.
         """
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    if wavelength is None:
-                        self._patch_ops.append(("link_recover", tail, head))
-                    else:
-                        self._patch_ops.append(
-                            ("channel_recover", tail, head, wavelength)
-                        )
-            else:
-                self._full_dirty = True
-                self._dirty.clear()
-            self._bump()
+        if wavelength is None:
+            self._queue(("link_recover", tail, head))
+        else:
+            self._queue(("channel_recover", tail, head, wavelength))
 
     def mark_converter_failed(self, node: NodeId) -> None:
         """The converter bank at *node* failed (continuity only).
 
-        A converter failure only removes conversion edges, so in
-        incremental mode it is an ordinary fail-only patch; otherwise it
-        is a full invalidation (converter state is not channel-keyed).
+        Only conversion edges disappear, so this is an ordinary
+        removal patch.
         """
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    self._patch_ops.append(("converter_fail", node))
-            else:
-                self._full_dirty = True
-                self._dirty.clear()
-            self._bump()
+        self._queue(("converter_fail", node))
 
     def mark_converter_recovered(self, node: NodeId) -> None:
         """The converter bank at *node* recovered."""
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    self._patch_ops.append(("converter_recover", node))
-            else:
-                self._full_dirty = True
-                self._dirty.clear()
-            self._bump()
+        self._queue(("converter_recover", node))
 
     def mark_path_reserved(self, path: Semilightpath) -> None:
-        """Mark every channel a just-reserved path occupies as degraded."""
-        with self._lock:
-            if self._incremental:
-                if not self._full_dirty:
-                    for hop in path.hops:
-                        self._patch_ops.append(
-                            ("channel_fail", hop.tail, hop.head, hop.wavelength)
-                        )
-            elif not self._full_dirty:
-                for hop in path.hops:
-                    self._dirty.add((hop.tail, hop.head, hop.wavelength))
-            self._bump()
+        """Every channel a just-reserved path occupies was removed."""
+        self._queue(
+            *(
+                ("channel_fail", hop.tail, hop.head, hop.wavelength)
+                for hop in path.hops
+            )
+        )
 
-    # -- rebuild -------------------------------------------------------------
-
-    def _tree_uses_dirty(self, tree: dict[NodeId, Semilightpath]) -> bool:
-        for path in tree.values():
-            for hop in path.hops:
-                if (hop.tail, hop.head, hop.wavelength) in self._dirty:
-                    return True
-                if (hop.tail, hop.head, None) in self._dirty:
-                    return True
-        return False
+    # -- refresh -------------------------------------------------------------
 
     def _try_patch_locked(self) -> bool:
         """Apply the queued patch ops to the delta overlay.
@@ -335,117 +279,53 @@ class EpochRouterCache:
             elif changed:
                 restored = True
         if restored:
-            dropped = len(self._trees)
-            self.trees_dropped += dropped
-            if self._metrics is not None and dropped:
-                self._metrics.counter("cache.trees_dropped").inc(dropped)
-            self._trees.clear()
-            self._warm.clear()
+            self._drop_trees()
             return True
         if masked:
             decode = self._aux.decode
             pairs = delta.slot_pairs(masked)
-            for warm in self._warm.values():
-                for aid in warm.run.repair(pairs, delta.in_edges):
+            for tree in self._trees.values():
+                for aid in tree.run.repair(pairs, delta.in_edges):
                     aux_node = decode[aid]
                     if aux_node.kind == KIND_SINK:
-                        warm.dirty.add(aux_node.node)
-        kept = len(self._trees)
-        self.trees_kept += kept
-        if self._metrics is not None and kept:
-            self._metrics.counter("cache.trees_kept").inc(kept)
+                        tree.dirty.add(aux_node.node)
+        self.trees_kept += len(self._trees)
+        self._count("trees_kept", len(self._trees))
         return True
+
+    def _drop_trees(self) -> None:
+        self.trees_dropped += len(self._trees)
+        self._count("trees_dropped", len(self._trees))
+        self._trees.clear()
 
     def _refresh_locked(self) -> None:
         """Bring ``G_all`` (and the tree cache) up to the current epoch."""
-        if self._built_epoch == self._epoch and self._aux is not None:
+        if self._built_epoch == self._epoch:
             return
-        if (
-            self._incremental
-            and not self._full_dirty
-            and self._delta is not None
-            and self._aux is not None
-        ):
+        if not self._full_dirty:
             if self._try_patch_locked():
                 # Patched in place: same aux build, new degraded view.
                 # The snapshot is stale now but nothing on the query path
                 # reads it — :meth:`network_view` refetches lazily, so the
                 # fault-to-answer path never pays the O(network) copy.
                 self._network = None
-                self._dirty.clear()
                 self._built_epoch = self._epoch
                 self.patches += 1
-                if self._metrics is not None:
-                    self._metrics.counter("cache.patches").inc()
+                self._count("patches")
                 return
             self._full_dirty = True  # half-patched overlay: rebuild all
-        if self._full_dirty:
-            self.trees_dropped += len(self._trees)
-            if self._metrics is not None and self._trees:
-                self._metrics.counter("cache.trees_dropped").inc(len(self._trees))
-            self._trees.clear()
-        elif self._dirty:
-            survivors: dict[NodeId, dict[NodeId, Semilightpath]] = {}
-            dropped = 0
-            for source, tree in self._trees.items():
-                if self._tree_uses_dirty(tree):
-                    dropped += 1
-                else:
-                    survivors[source] = tree
-            self.trees_kept += len(survivors)
-            self.trees_dropped += dropped
-            if self._metrics is not None:
-                if survivors:
-                    self._metrics.counter("cache.trees_kept").inc(len(survivors))
-                if dropped:
-                    self._metrics.counter("cache.trees_dropped").inc(dropped)
-            self._trees = survivors
+        self._drop_trees()
         self._network = self._factory()
-        self._inner = LiangShenRouter(self._network, heap=self._heap)
-        # The router caches G_all for its lifetime; one rebuild = one
-        # construction, shared by every tree run until the next epoch.
-        self._aux = self._inner.all_pairs_graph()
-        if self._incremental:
-            self._delta = DeltaOverlay(self._aux)
-            self._warm.clear()
+        self._aux = build_all_pairs_graph(self._network)
+        self._delta = DeltaOverlay(self._aux)
         self._patch_ops.clear()
-        self._dirty.clear()
         self._full_dirty = False
         self._built_epoch = self._epoch
         self.rebuilds += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.rebuilds").inc()
+        self._count("rebuilds")
 
     def _tree(self, source: NodeId) -> dict[NodeId, Semilightpath]:
-        self._refresh_locked()
-        if self._incremental:
-            return self._warm_tree_locked(source)
-        tree = self._trees.get(source)
-        if tree is None:
-            self.misses += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.misses").inc()
-            if self._inner is None:
-                # _refresh_locked always installs a router; a None here means
-                # _tree ran outside the lock/refresh protocol.  A real
-                # exception so the invariant holds under ``python -O``.
-                raise ValueError("epoch cache queried before refresh built a router")
-            tree, run = run_tree(
-                self._aux, source, heap=self._heap, scratch=self._scratch
-            )
-            self._trees[source] = tree
-            if self._metrics is not None:
-                self._metrics.observe_query(
-                    _tree_stats(self._aux, run), prefix="cache.tree_build"
-                )
-        else:
-            self.hits += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.hits").inc()
-        return tree
-
-    def _warm_tree_locked(self, source: NodeId) -> dict[NodeId, Semilightpath]:
-        """Incremental-mode tree: warm-run backed, repaired across deltas.
+        """The current tree from *source* (lock held).
 
         A cached tree whose warm run was repaired re-runs the search —
         which only re-settles the damaged region — and re-decodes only
@@ -453,33 +333,29 @@ class EpochRouterCache:
         as-is.  A miss starts a fresh warm run to exhaustion and keeps
         it for future queries and repairs.
         """
-        warm = self._warm.get(source)
-        if warm is not None:
-            tree = self._trees[source]
-            if warm.dirty:
-                warm.run.run()
-                decode_warm_targets(self._aux, source, warm.run, warm.dirty, tree)
-                warm.dirty.clear()
+        self._refresh_locked()
+        tree = self._trees.get(source)
+        if tree is not None:
+            if tree.dirty:
+                tree.run.run()
+                decode_warm_targets(self._aux, source, tree.run, tree.dirty, tree.paths)
+                tree.dirty.clear()
                 self.tree_patches += 1
-                if self._metrics is not None:
-                    self._metrics.counter("cache.tree_patches").inc()
+                self._count("tree_patches")
             self.hits += 1
-            if self._metrics is not None:
-                self._metrics.counter("cache.hits").inc()
-            return tree
+            self._count("hits")
+            return tree.paths
         self.misses += 1
-        if self._metrics is not None:
-            self._metrics.counter("cache.misses").inc()
+        self._count("misses")
         run = WarmRun(self._aux.graph, self._aux.source_ids[source])
         run.run()
-        tree = decode_warm_tree(self._aux, source, run)
-        self._trees[source] = tree
-        self._warm[source] = _WarmTree(run)
+        paths = decode_warm_tree(self._aux, source, run)
+        self._trees[source] = _Tree(run, paths)
         if self._metrics is not None:
             self._metrics.observe_query(
                 _tree_stats(self._aux, run.result()), prefix="cache.tree_build"
             )
-        return tree
+        return paths
 
     # -- queries -------------------------------------------------------------
 
@@ -550,7 +426,7 @@ class EpochRouterCache:
         with self._fallback_lock:
             if self._fallback_router is None or self._fallback_epoch != epoch:
                 network = self._factory()
-                self._fallback_router = LiangShenRouter(network, heap=self._heap)
+                self._fallback_router = LiangShenRouter(network)
                 self._fallback_network = network
                 self._fallback_epoch = epoch
             router = self._fallback_router

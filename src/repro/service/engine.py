@@ -135,8 +135,6 @@ class QueryEngine:
         :meth:`run_pending`).
     queue_limit:
         Maximum pending requests before :meth:`submit` rejects.
-    coalesce:
-        Claim same-source pending requests together (default on).
     metrics:
         Optional registry for queue/latency/coalescing instruments.
     retry:
@@ -157,7 +155,6 @@ class QueryEngine:
         cache: "EpochRouterCache",
         workers: int = 4,
         queue_limit: int = 256,
-        coalesce: bool = True,
         metrics: "MetricsRegistry | None" = None,
         retry: "RetryPolicy | None" = None,
         breaker: "CircuitBreaker | None" = None,
@@ -168,7 +165,6 @@ class QueryEngine:
             raise ValueError("queue_limit must be positive")
         self.cache = cache
         self.queue_limit = queue_limit
-        self.coalesce = coalesce
         self.retry = retry
         self.breaker = breaker
         self.fault_hook: "Callable[[], None] | None" = None
@@ -265,8 +261,6 @@ class QueryEngine:
 
     def _claim_batch_locked(self, first: _Request) -> list[_Request]:
         """Pop *first*'s same-source companions from the queue (coalescing)."""
-        if not self.coalesce:
-            return [first]
         batch = [first]
         remaining: deque[_Request] = deque()
         while self._queue:

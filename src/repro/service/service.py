@@ -19,10 +19,9 @@ off a provisioner so admissions reuse cached trees::
     conn = prov.establish(s, t)       # routed through the cache
 
 After each admission the provisioner notifies the service which channels
-were reserved; the cache keeps every tree that avoids them (reserving
-can only remove resources, so untouched trees stay optimal) and bumps
-the epoch for the rest.  Releases invalidate fully — freed channels can
-improve arbitrary routes.
+were reserved; the cache masks them in its ``G_all`` and repairs the
+cached trees in place instead of rebuilding.  Releases invalidate fully
+— freed channels can improve arbitrary routes.
 
 Degraded-mode serving
 ---------------------
@@ -108,12 +107,6 @@ class RoutingService:
     queue_limit:
         Pending-request bound; excess submissions raise
         :class:`~repro.exceptions.ServiceOverloadError`.
-    heap:
-        Shortest-path kernel for the underlying router (default
-        ``"flat"``, the CSR fast path; see
-        :class:`~repro.core.routing.LiangShenRouter`).
-    coalesce:
-        Batch pending same-source queries onto one tree (default on).
     metrics:
         Bring-your-own registry; a private one is created otherwise.
     retry:
@@ -123,16 +116,8 @@ class RoutingService:
         Optional :class:`~repro.faults.resilience.CircuitBreaker` around
         the routing backend; its state is published as the
         ``engine.breaker_state`` gauge (0 closed, 1 half-open, 2 open).
-    allow_stale:
-        Whether :meth:`route_resilient` may serve last-good answers when
-        the backend is down (default on).
     last_good_limit:
         Bound on the last-good answer store (LRU-evicted).
-    incremental:
-        Opt-in delta-epoch cache maintenance: fault/recovery
-        notifications patch the shared ``G_all`` overlay in place instead
-        of rebuilding it (see
-        :class:`~repro.service.cache.EpochRouterCache`).  Default off.
 
     Example
     -------
@@ -147,31 +132,23 @@ class RoutingService:
         network: "WDMNetwork | Callable[[], WDMNetwork]",
         workers: int = 4,
         queue_limit: int = 256,
-        heap: str = "flat",
-        coalesce: bool = True,
         metrics: MetricsRegistry | None = None,
         retry: "RetryPolicy | None" = None,
         breaker: "CircuitBreaker | None" = None,
-        allow_stale: bool = True,
         last_good_limit: int = 65536,
-        incremental: bool = False,
     ) -> None:
         if last_good_limit < 1:
             raise ValueError("last_good_limit must be positive")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = EpochRouterCache(
-            network, heap=heap, metrics=self.metrics, incremental=incremental
-        )
+        self.cache = EpochRouterCache(network, metrics=self.metrics)
         self.engine = QueryEngine(
             self.cache,
             workers=workers,
             queue_limit=queue_limit,
-            coalesce=coalesce,
             metrics=self.metrics,
             retry=retry,
             breaker=breaker,
         )
-        self.allow_stale = allow_stale
         self._last_good_limit = last_good_limit
         self._last_good: OrderedDict[
             tuple[NodeId, NodeId], tuple[Semilightpath, int]
@@ -238,14 +215,13 @@ class RoutingService:
 
     def _degraded(self, source: NodeId, target: NodeId) -> RouteOutcome | None:
         """Stale-while-revalidate, then shared-state-free rebuild."""
-        if self.allow_stale:
-            with self._last_good_lock:
-                entry = self._last_good.get((source, target))
-            if entry is not None:
-                path, epoch = entry
-                self.metrics.counter("service.stale_served").inc()
-                self._revalidate(source, target)
-                return RouteOutcome(path=path, epoch=epoch, mode="stale")
+        with self._last_good_lock:
+            entry = self._last_good.get((source, target))
+        if entry is not None:
+            path, epoch = entry
+            self.metrics.counter("service.stale_served").inc()
+            self._revalidate(source, target)
+            return RouteOutcome(path=path, epoch=epoch, mode="stale")
         try:
             path, snapshot = self.cache.route_rebuild(source, target)
         except TransientBackendError:
@@ -343,7 +319,10 @@ class RoutingService:
     def notify_link_degraded(
         self, tail: NodeId, head: NodeId, wavelength: int | None = None
     ) -> None:
-        """A link (or one of its channels) lost capacity or got pricier."""
+        """A link (or one of its channels) was removed from service.
+
+        A cost change is not a removal: send it through :meth:`invalidate`.
+        """
         self.cache.mark_channel_degraded(tail, head, wavelength)
 
     def notify_link_recovered(

@@ -24,7 +24,7 @@ oracle                                hop-exact  applicability
 lazily-decoded parent forests — the coalesced-batch serving path.
 
 ``liang:delta:churn`` and ``cache:incremental`` answer from state that
-survived a *net-zero* fail/recover churn through the incremental
+survived a *net-zero* fail/recover churn through the in-place
 maintenance layer (:class:`~repro.shortestpath.DeltaOverlay`, warm-run
 repair) — a patched overlay must be indistinguishable from a pristine
 one, so any masking residue surfaces as a hop disagreement.
@@ -192,7 +192,7 @@ def _liang_delta_churn(network: "WDMNetwork") -> RouteFn:
 
 
 def _cache_incremental(network: "WDMNetwork") -> RouteFn:
-    """Route through an incremental epoch cache after a net-zero churn.
+    """Route through the epoch cache after a net-zero churn.
 
     Exercises the whole patched-serving stack — queued delta ops, warm
     Dijkstra runs repaired in place, recovery batches — and ends on a
@@ -201,7 +201,7 @@ def _cache_incremental(network: "WDMNetwork") -> RouteFn:
     """
     from repro.service.cache import EpochRouterCache
 
-    cache = EpochRouterCache(lambda: network, heap="flat", incremental=True)
+    cache = EpochRouterCache(lambda: network)
     nodes = sorted(network.nodes(), key=repr)
     probe = _none_on_nopath(cache.route)
 

@@ -123,14 +123,14 @@ class SemilightpathProvisioner:
 
         Without arguments a service is built over this provisioner's
         residual network (``workers=0`` by default — admissions already
-        run on the caller's thread); pass ``workers=N``/``queue_limit``/
-        ``heap`` through *service_kwargs*, or hand in a pre-built
-        *service* whose network view is this provisioner's residual.
+        run on the caller's thread); pass ``workers=N``/``queue_limit``
+        through *service_kwargs*, or hand in a pre-built *service* whose
+        network view is this provisioner's residual.
 
         Once attached, :meth:`establish` serves routes from the cache and
-        notifies it after every reservation (per-channel degradation —
-        cached trees avoiding the reserved channels survive) and release
-        (full invalidation — freed channels can improve any route).
+        notifies it after every reservation (the reserved channels are
+        masked in place and the cached trees repaired) and release (full
+        invalidation — freed channels can improve any route).
         """
         if service is None:
             # Imported lazily: the service layer sits *above* wdm, and the
@@ -338,8 +338,8 @@ class SemilightpathProvisioner:
         self.state.reserve_channels(channels)
         if self._service is not None:
             if self.packing == "none":
-                # Per-channel degradation: cached trees not using the
-                # reserved channels survive (same rule as unicast).
+                # Per-channel removal, patched in place (same rule as
+                # unicast).
                 for tail, head, wavelength in channels:
                     self._service.notify_link_degraded(tail, head, wavelength)
             else:

@@ -141,7 +141,7 @@ class TestServiceWiring:
             before = service.epoch
             # The fiber {1, 2} fails both directions, but only the
             # directed links that exist in the base network are notified
-            # (incremental caches patch per resource); figure 1's 1->2
+            # (the cache patches per resource); figure 1's 1->2
             # has no reverse link, so the fail is a single notification.
             injector.apply(FaultEvent(0.1, "link_fail", tail=1, head=2))
             assert service.epoch == before + 1
@@ -159,13 +159,10 @@ class TestServiceWiring:
             assert service.epoch == before
 
     def test_incremental_service_round_trips_faults(self, paper_net):
-        """Against an incremental service, a fail/recover cycle is served
-        entirely by patches (after the initial build) and ends on the
-        exact pristine routes."""
+        """A fail/recover cycle is served entirely by patches (after the
+        initial build) and ends on the exact pristine routes."""
         injector = FaultInjector(paper_net)
-        with RoutingService(
-            injector.network_view, workers=0, incremental=True
-        ) as service:
+        with RoutingService(injector.network_view, workers=0) as service:
             injector.attach(service)
             baseline = service.route(1, 7)
             hop = baseline.hops[0]
@@ -198,9 +195,7 @@ class TestServiceWiring:
 
     def test_converter_faults_notify_incremental_service(self, paper_net):
         injector = FaultInjector(paper_net)
-        with RoutingService(
-            injector.network_view, workers=0, incremental=True
-        ) as service:
+        with RoutingService(injector.network_view, workers=0) as service:
             injector.attach(service)
             before = service.epoch
             injector.apply(FaultEvent(0.1, "converter_fail", node=2))

@@ -1,11 +1,11 @@
-"""Property-based parity for incremental overlay maintenance.
+"""Property-based parity for in-place overlay maintenance.
 
 The delta-epoch machinery promises that patching is *observationally
 invisible*: after any sequence of fail/recover events, an overlay
 maintained in place by :class:`~repro.shortestpath.DeltaOverlay` must be
 indistinguishable from one built fresh off the degraded network —
 byte-identical CSR on materialization, hop-for-hop identical routes when
-served through the incremental epoch cache.  These tests drive both
+served through the epoch cache.  These tests drive both
 promises from hypothesis-generated networks and churn sequences,
 including the awkward cases: duplicate fails, recoveries of resources
 that were never down (which force a full rebuild), and fiber events on
@@ -134,7 +134,7 @@ def test_incremental_cache_routes_match_fresh_router(case):
     nodes = net.nodes()
     pairs = [(s, t) for s in nodes for t in nodes if s != t][:3]
     injector = FaultInjector(net)
-    service = RoutingService(injector.network_view, workers=0, incremental=True)
+    service = RoutingService(injector.network_view, workers=0)
     injector.attach(service)
     try:
         for kind, kw in ops:

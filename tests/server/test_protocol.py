@@ -1,15 +1,18 @@
-"""Wire-protocol unit and property tests (no sockets, no server).
+"""Wire-protocol unit and property tests (no server).
 
 The frame codec is pure bytes-in/bytes-out, so everything here is fast
 and deterministic: hypothesis proves encode/decode round-trips across
 payload sizes (including empty and >64 KiB), and the rejection tests
 enumerate every way a frame can be malformed — truncation at each
 boundary, garbage magic, wrong version, unknown opcodes, reserved
-flags, oversized declared lengths, undecodable payloads.
+flags, oversized declared lengths, undecodable payloads.  The header
+rejections run through both parsers: :func:`decode_frame` on bytes and
+:func:`read_frame` on one end of a socket pair.
 """
 
 import argparse
 import pickle
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from repro.server.protocol import (
     Op,
     decode_frame,
     encode_frame,
+    read_frame,
     valid_ip,
     valid_port,
 )
@@ -99,34 +103,57 @@ def _forge(magic=protocol.MAGIC, version=protocol.VERSION, op=Op.STATS,
     return protocol._HEADER.pack(magic, version, int(op), flags, length) + body
 
 
-def test_bad_magic_rejected():
+def _decode(frame):
+    return decode_frame(frame)
+
+
+def _read(frame):
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(frame)
+        left.shutdown(socket.SHUT_WR)
+        return read_frame(right)
+
+
+parsers = pytest.mark.parametrize(
+    "parse", [_decode, _read], ids=["decode_frame", "read_frame"]
+)
+
+
+@parsers
+def test_bad_magic_rejected(parse):
     with pytest.raises(ProtocolError, match="magic"):
-        decode_frame(_forge(magic=b"XXXX", body=pickle.dumps(None)))
+        parse(_forge(magic=b"XXXX", body=pickle.dumps(None)))
 
 
-def test_wrong_version_rejected():
+@parsers
+def test_wrong_version_rejected(parse):
     with pytest.raises(ProtocolError, match="version"):
-        decode_frame(_forge(version=99, body=pickle.dumps(None)))
+        parse(_forge(version=99, body=pickle.dumps(None)))
 
 
-def test_unknown_opcode_rejected():
+@parsers
+def test_unknown_opcode_rejected(parse):
     with pytest.raises(ProtocolError, match="opcode"):
-        decode_frame(_forge(op=0x33, body=pickle.dumps(None)))
+        parse(_forge(op=0x33, body=pickle.dumps(None)))
 
 
-def test_reserved_flags_rejected():
+@parsers
+def test_reserved_flags_rejected(parse):
     with pytest.raises(ProtocolError, match="flags"):
-        decode_frame(_forge(flags=1, body=pickle.dumps(None)))
+        parse(_forge(flags=1, body=pickle.dumps(None)))
 
 
-def test_oversized_length_rejected_before_reading_payload():
+@parsers
+def test_oversized_length_rejected_before_reading_payload(parse):
     with pytest.raises(ProtocolError, match="MAX_PAYLOAD"):
-        decode_frame(_forge(length=MAX_PAYLOAD + 1))
+        parse(_forge(length=MAX_PAYLOAD + 1))
 
 
-def test_undecodable_payload_rejected():
+@parsers
+def test_undecodable_payload_rejected(parse):
     with pytest.raises(ProtocolError, match="undecodable"):
-        decode_frame(_forge(body=b"\x80not-a-pickle"))
+        parse(_forge(body=b"\x80not-a-pickle"))
 
 
 def test_encode_refuses_oversized_payload(monkeypatch):

@@ -1,4 +1,4 @@
-"""Epoch-versioned cache: hits, invalidation, degradation-kept trees."""
+"""Epoch-versioned cache: hits, invalidation, patched degradation."""
 
 import math
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import NoPathError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultEvent
 from repro.service.cache import EpochRouterCache
 from repro.service.metrics import MetricsRegistry
 from repro.topology.reference import nsfnet_network
@@ -92,23 +94,45 @@ class TestEpochs:
 
     def test_degradation_keeps_untouched_trees(self, paper_net):
         cache = EpochRouterCache(paper_net)
-        route_17 = cache.route(1, 7)
-        hop = route_17.hops[0]
+        hop = cache.route(1, 7).hops[0]
         cache.route(2, 7)
-        # Degrade a channel the source-1 tree uses: only that tree drops.
+        # Degrade a channel the source-1 tree uses: G_all is patched, not
+        # rebuilt, and both trees are repaired in place.
         cache.mark_channel_degraded(hop.tail, hop.head, hop.wavelength)
         cache.route(2, 7)
         counters = cache.counters()
-        assert counters["trees_kept"] >= 0
-        assert counters["trees_dropped"] >= 1
+        assert counters["rebuilds"] == 1
+        assert counters["patches"] == 1
+        assert counters["trees_kept"] == 2
+        assert counters["trees_dropped"] == 0
+        assert cache.cached_sources == 2
 
     def test_whole_link_degradation(self, paper_net):
-        cache = EpochRouterCache(paper_net)
-        route_17 = cache.route(1, 7)
-        hop = route_17.hops[0]
+        injector = FaultInjector(paper_net)
+        cache = EpochRouterCache(injector.network_view)
+        hop = cache.route(1, 7).hops[0]
+        link = paper_net.link(hop.tail, hop.head)
+        for wavelength in link.costs:
+            injector.apply(
+                FaultEvent(
+                    0.5,
+                    "channel_fail",
+                    tail=hop.tail,
+                    head=hop.head,
+                    wavelength=wavelength,
+                )
+            )
         cache.mark_channel_degraded(hop.tail, hop.head)  # all wavelengths
-        cache.route(1, 7)
-        assert cache.counters()["trees_dropped"] == 1
+        rerouted = cache.route(1, 7)
+        assert (hop.tail, hop.head) not in {(h.tail, h.head) for h in rerouted.hops}
+        expected = LiangShenRouter(injector.network_view()).route(1, 7).path
+        assert rerouted.hops == expected.hops
+        assert rerouted.total_cost == expected.total_cost
+        counters = cache.counters()
+        assert counters["rebuilds"] == 1
+        assert counters["patches"] == 1
+        assert counters["trees_kept"] == 1
+        assert counters["trees_dropped"] == 0
 
 
 class TestPostMutationCorrectness:

@@ -143,16 +143,6 @@ class TestCoalescing:
         for target, future in futures.items():
             assert future.result() == single.route(1, target)
 
-    def test_disabled_coalescing(self, paper_net):
-        registry = MetricsRegistry()
-        engine = QueryEngine(
-            EpochRouterCache(paper_net), workers=0, coalesce=False, metrics=registry
-        )
-        engine.submit(1, 7)
-        engine.submit(1, 6)
-        engine.run_pending()
-        assert "engine.coalesced" not in registry.snapshot()
-
 
 class TestWorkerPool:
     def test_concurrent_determinism(self, paper_net):

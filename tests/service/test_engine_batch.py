@@ -103,14 +103,6 @@ class TestGuardedFallback:
         assert "engine.batched" not in registry.snapshot()
         assert all(f.result().hops for f in futures)
 
-    def test_coalesce_off_disables_batching(self, paper_net):
-        registry = MetricsRegistry()
-        engine = sync_engine(paper_net, coalesce=False, metrics=registry)
-        futures = [engine.submit(1, t) for t in (6, 7)]
-        engine.run_pending()
-        assert "engine.batched" not in registry.snapshot()
-        assert all(f.result().hops for f in futures)
-
 
 class TestRouteBatchCache:
     def test_route_batch_matches_single_routes(self, paper_net):

@@ -98,7 +98,7 @@ class TestProvisionerWiring:
         assert service.epoch == 2  # release = full invalidation
 
     def test_admissions_match_cold_router_on_residual(self):
-        """After every mutation, served routes cost the same as a cold
+        """After every mutation, served routes are hop-identical to a cold
         router built on the identical residual network, and stay feasible."""
         net = nsfnet_network(num_wavelengths=4, seed=1)
         rng = random.Random(7)
@@ -124,14 +124,15 @@ class TestProvisionerWiring:
                 except NoPathError:
                     warm = None
                 try:
-                    expected = cold.route(a, b).cost
+                    expected = cold.route(a, b).path
                 except NoPathError:
                     expected = None
                 if expected is None:
                     assert warm is None
                 else:
                     assert warm is not None
-                    assert warm.total_cost == pytest.approx(expected)
+                    assert warm.hops == expected.hops
+                    assert warm.total_cost == pytest.approx(expected.total_cost)
                     warm.validate(residual)  # only free channels used
 
     def test_full_invalidation_byte_identical_to_cold_cache(self):
