@@ -15,7 +15,8 @@ It measures four things and writes ``BENCH_routing.json``:
 * **All-pairs fan-out** — serial ``route_all_pairs`` against the
   shared-memory process pool, with the measured worker count recorded
   next to the machine's CPU count (a 1-CPU container cannot show a
-  parallel win; the numbers say so honestly).
+  parallel win; the numbers say so honestly).  The pool's work runs in
+  child processes, so its fields are wall-clock only (``*_wall_*``).
 * **Fault churn** — an alternating degrade/recover + query stream served
   by two epoch caches: one told ``invalidate()`` on every fault (every
   fault rebuilds ``G_all``) and one told which channel changed (CSR
@@ -25,6 +26,11 @@ It measures four things and writes ``BENCH_routing.json``:
 * **Result identity** — every timed query is cross-checked: exact cost
   equality and identical hop sequences between the seed and hot paths,
   and all-pairs parallel output equal to serial.
+
+Every in-process timed row records the timing thread's CPU time
+(``time.thread_time()``, the ``cpu_*`` fields) next to its wall time, so
+a loaded or 1-CPU host still yields attributable numbers.  The report
+carries the ``git_sha`` of the checkout and the ``argv`` that wrote it.
 
 ``--churn-smoke`` runs only the churn scenario in a time-budgeted loop
 (``--churn-seconds``, default 30) and exits nonzero on any
@@ -41,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -83,6 +90,26 @@ def _check_identity(name, kernel, pairs, reference, candidate, errors):
                 errors.append(f"{name}: {kernel}: hop sequence differs for {s}->{t}")
 
 
+def _timed(fn):
+    """``(fn(), wall seconds, CPU seconds of this thread)``."""
+    wall, cpu = time.perf_counter(), time.thread_time()
+    result = fn()
+    return result, time.perf_counter() - wall, time.thread_time() - cpu
+
+
+def _git_sha() -> str | None:
+    """HEAD of the checkout this script runs from (``None`` outside git)."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        return subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"],
+            capture_output=True, text=True, env=env, timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
 def _view(result):
     """(cost, hops) of a RouteResult / Semilightpath, or None."""
     if result is None:
@@ -105,19 +132,14 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
     flat_router.layered_graph()  # warm the shared G' before timing
     batch_router = BatchRouter(net)  # G_all built here, outside the timing
 
-    start = time.perf_counter()
-    seed_results = [_view(_try(seed_router, s, t)) for s, t in pairs]
-    t_seed = time.perf_counter() - start
+    def stream(router):
+        return lambda: [_view(_try(router, s, t)) for s, t in pairs]
 
-    start = time.perf_counter()
-    flat_results = [_view(_try(flat_router, s, t)) for s, t in pairs]
-    t_flat = time.perf_counter() - start
-
+    seed_results, t_seed, c_seed = _timed(stream(seed_router))
+    flat_results, t_flat, c_flat = _timed(stream(flat_router))
     # The batched mode serves the same stream source-major: one exhausted
     # kernel run per source, every answer a lazy decode off its forest.
-    start = time.perf_counter()
-    batched_results = [_view(_try(batch_router, s, t)) for s, t in pairs]
-    t_batched = time.perf_counter() - start
+    batched_results, t_batched, c_batched = _timed(stream(batch_router))
 
     errors: list[str] = []
     _check_identity(name, "overlay_flat", pairs, seed_results, flat_results, errors)
@@ -135,13 +157,18 @@ def bench_single_pair(net, name: str) -> tuple[dict, list[str]]:
         "seed_us_per_query": t_seed * us,
         "hot_us_per_query": t_flat * us,
         "kernels": {
-            "seed_rebuild_binary": {"us_per_query": t_seed * us},
+            "seed_rebuild_binary": {
+                "us_per_query": t_seed * us,
+                "cpu_us_per_query": c_seed * us,
+            },
             "overlay_flat": {
                 "us_per_query": t_flat * us,
+                "cpu_us_per_query": c_flat * us,
                 "speedup_vs_seed": t_seed / t_flat if t_flat > 0 else float("inf"),
             },
             "forest_batched": {
                 "us_per_query": t_batched * us,
+                "cpu_us_per_query": c_batched * us,
                 "speedup_vs_seed": t_seed / t_batched
                 if t_batched > 0
                 else float("inf"),
@@ -171,10 +198,9 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
     router = LiangShenRouter(net)
     aux = router.all_pairs_graph()  # warm: all runs share the same G_all
 
-    start = time.perf_counter()
-    serial = router.route_all_pairs()
-    t_serial = time.perf_counter() - start
+    serial, t_serial, c_serial = _timed(router.route_all_pairs)
 
+    # Wall clock only: the pool's CPU time is spent in its children.
     start = time.perf_counter()
     via_shared = route_all_pairs_parallel(net, workers=workers, aux=aux)
     t_shared = time.perf_counter() - start
@@ -225,8 +251,9 @@ def bench_all_pairs(net, name: str, workers: int) -> tuple[dict, list[str]]:
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "serial_seconds": t_serial,
-        "parallel_shared_seconds": t_shared,
-        "parallel_speedup": t_serial / t_shared if t_shared > 0 else 0.0,
+        "serial_cpu_seconds": c_serial,
+        "parallel_shared_wall_seconds": t_shared,
+        "parallel_wall_speedup": t_serial / t_shared if t_shared > 0 else 0.0,
         "pickle_cost_seconds": t_pickle_cost,
         "pickle_payload_bytes": payload_bytes,
         "attach_cost_seconds": t_attach_cost,
@@ -279,8 +306,9 @@ def _run_churn(net, schedule, notify, certificate_every: int = 0):
     ``notify(cache, kind, tail, head, w)``.
 
     Returns the answers (for cross-checking), the cache counters, the
-    total churn wall time, the average fault-to-first-answer latency,
-    and any certificate violations found on the sampled answers.
+    churn's total and summed fault-to-first-answer times (each a
+    ``(wall, cpu)`` pair), the number of sampled answers, and any
+    certificate violations found on them.
     """
     injector = FaultInjector(net)
     cache = EpochRouterCache(injector.network_view)
@@ -292,10 +320,10 @@ def _run_churn(net, schedule, notify, certificate_every: int = 0):
     answers = []
     errors: list[str] = []
     samples = []  # (step, s, t, path, view) checked after timing stops
-    first_answer_seconds = 0.0
-    start = time.perf_counter()
+    first_wall = first_cpu = 0.0
+    start, start_cpu = time.perf_counter(), time.thread_time()
     for step, (kind, (tail, head, w), queries) in enumerate(schedule):
-        fault_start = time.perf_counter()
+        fault_start, fault_cpu = time.perf_counter(), time.thread_time()
         injector.apply(FaultEvent(0.5, kind, tail=tail, head=head, wavelength=w))
         notify(cache, kind, tail, head, w)
         for j, (s, t) in enumerate(queries):
@@ -304,7 +332,8 @@ def _run_churn(net, schedule, notify, certificate_every: int = 0):
             except NoPathError:
                 path = None
             if j == 0:
-                first_answer_seconds += time.perf_counter() - fault_start
+                first_wall += time.perf_counter() - fault_start
+                first_cpu += time.thread_time() - fault_cpu
             answers.append(path)
             if (
                 certificate_every
@@ -312,7 +341,7 @@ def _run_churn(net, schedule, notify, certificate_every: int = 0):
                 and len(answers) % certificate_every == 0
             ):
                 samples.append((step, s, t, path))
-    total = time.perf_counter() - start
+    total = (time.perf_counter() - start, time.thread_time() - start_cpu)
     # Eq.1 certificate checks run outside the timed loop so verification
     # cost never skews the serving comparison; each sampled answer is
     # checked against its own degraded view, reconstructed by replaying
@@ -327,7 +356,8 @@ def _run_churn(net, schedule, notify, certificate_every: int = 0):
                 f"churn certificate violation at step {step} "
                 f"{s}->{t}: " + "; ".join(cert.violations)
             )
-    return answers, cache.counters(), total, first_answer_seconds, len(samples), errors
+    first = (first_wall, first_cpu)
+    return answers, cache.counters(), total, first, len(samples), errors
 
 
 def bench_fault_churn(
@@ -335,17 +365,19 @@ def bench_fault_churn(
 ) -> tuple[dict, list[str]]:
     """Full-invalidation vs delta-patched serving on one churn stream."""
     schedule = _churn_schedule(net, events, queries_per_event)
-    full_answers, full_counters, t_full, t_full_first, _, errs_full = _run_churn(
+    full_answers, full_counters, full_time, full_first, _, errs_full = _run_churn(
         net, schedule, _notify_invalidate
     )
     (
         delta_answers,
         delta_counters,
-        t_delta,
-        t_delta_first,
+        delta_time,
+        delta_first,
         certs,
         errs_delta,
     ) = _run_churn(net, schedule, _notify_channel, certificate_every=5)
+    (t_full, c_full), (t_full_first, c_full_first) = full_time, full_first
+    (t_delta, c_delta), (t_delta_first, c_delta_first) = delta_time, delta_first
 
     errors = errs_full + errs_delta
     for i, (full, delta) in enumerate(zip(full_answers, delta_answers)):
@@ -365,10 +397,14 @@ def bench_fault_churn(
         "fault_events": fault_count,
         "queries": len(full_answers),
         "full_invalidation_seconds": t_full,
+        "full_invalidation_cpu_seconds": c_full,
         "delta_seconds": t_delta,
+        "delta_cpu_seconds": c_delta,
         "churn_speedup": t_full / t_delta if t_delta > 0 else float("inf"),
         "full_fault_to_answer_us": t_full_first / fault_count * 1e6,
+        "full_fault_to_answer_cpu_us": c_full_first / fault_count * 1e6,
         "delta_fault_to_answer_us": t_delta_first / fault_count * 1e6,
+        "delta_fault_to_answer_cpu_us": c_delta_first / fault_count * 1e6,
         "fault_to_answer_speedup": (
             t_full_first / t_delta_first if t_delta_first > 0 else float("inf")
         ),
@@ -425,26 +461,10 @@ def main(argv: list[str] | None = None) -> int:
         default=30.0,
         help="time budget for --churn-smoke (default 30)",
     )
-    parser.add_argument(
-        "--server-smoke",
-        action="store_true",
-        help="CI mode: one chunked all-pairs sweep against a live UDS "
-        "router server, failing on any serial mismatch or leaked segment",
-    )
-    parser.add_argument(
-        "--serving-smoke",
-        action="store_true",
-        help="CI mode: identity probe of a 2x2 sharded tier against the "
-        "in-process router, failing on any mismatch or leaked segment",
-    )
     args = parser.parse_args(argv)
 
     if args.churn_smoke:
         return churn_smoke(args.churn_seconds)
-    if args.server_smoke:
-        return server_smoke()
-    if args.serving_smoke:
-        return serving_smoke()
 
     if args.quick:
         single_sizes = [24, 32]
@@ -456,6 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         churn_sizes = [48, 64]
 
     report = {
+        "git_sha": _git_sha(),
+        "argv": sys.argv if argv is None else [sys.argv[0], *argv],
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -490,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{name}: all-pairs serial {row['serial_seconds'] * 1e3:8.1f} ms  "
             f"workers={row['workers']} "
-            f"shared {row['parallel_shared_seconds'] * 1e3:8.1f} ms  "
-            f"({row['parallel_speedup']:.2f}x on {os.cpu_count()} CPU(s); "
+            f"shared {row['parallel_shared_wall_seconds'] * 1e3:8.1f} ms  "
+            f"({row['parallel_wall_speedup']:.2f}x on {os.cpu_count()} CPU(s); "
             f"attach {row['attach_cost_seconds'] * 1e3:.2f} ms vs "
             f"pickle {row['pickle_cost_seconds'] * 1e3:.2f} ms per worker)"
         )
@@ -516,104 +538,6 @@ def main(argv: list[str] | None = None) -> int:
         "result identity verified: seed == overlay+flat, "
         "serial == parallel, patched == rebuilt"
     )
-    return 0
-
-
-def server_smoke() -> int:
-    """One wire-level all-pairs sweep against a live router server.
-
-    Starts a UDS :class:`~repro.server.RouterServer`, drives a full
-    ``route_all_pairs`` through ``ALL_PAIRS_CHUNK`` frames, and demands
-    the result equal the serial run — paths, iteration order, and
-    aggregated stats — then shuts down and audits ``/dev/shm``.
-    """
-    from repro.server import RouterClient, RouterServer
-    from repro.shortestpath.shared import leaked_segments
-
-    net = sparse_wan(32, seed=32)
-    before = set(leaked_segments())
-    serial = LiangShenRouter(net).route_all_pairs()
-    with RouterServer(net, workers=2, uds="") as server:
-        with RouterClient(server.address) as client:
-            start = time.perf_counter()
-            remote = client.route_all_pairs()
-            elapsed = time.perf_counter() - start
-    print(
-        f"server smoke: {len(remote.paths)} paths over the wire in "
-        f"{elapsed * 1e3:.1f} ms (chunked, 2 warm workers)"
-    )
-    failures = []
-    if remote.paths != serial.paths:
-        failures.append("wire all-pairs paths differ from serial")
-    elif list(remote.paths) != list(serial.paths):
-        failures.append("wire all-pairs iteration order differs from serial")
-    if remote.stats != serial.stats:
-        failures.append("wire all-pairs stats differ from serial")
-    leaked = sorted(set(leaked_segments()) - before)
-    if leaked:
-        failures.append(f"leaked shared-memory segment(s): {', '.join(leaked)}")
-    if failures:
-        for line in failures:
-            print(f"MISMATCH: {line}", file=sys.stderr)
-        return 1
-    print("server smoke: wire == serial, no leaked segments")
-    return 0
-
-
-def serving_smoke() -> int:
-    """Identity probe against a live sharded tier.
-
-    Boots a 2-shard × 2-replica :class:`~repro.cluster.ShardManager`,
-    routes every ordered pair through the
-    :class:`~repro.cluster.FrontendRouter` (consistent-hash placement +
-    replica failover in the loop), and demands byte-identical answers to
-    an in-process :class:`LiangShenRouter` — then audits ``/dev/shm``.
-    Timings are printed but never gate the exit code.
-    """
-    from repro.cluster import ClosedLoopLoadGenerator, FrontendRouter
-    from repro.cluster import ShardManager, all_pairs_workload
-    from repro.shortestpath.shared import leaked_segments
-
-    net = sparse_wan(24, seed=24)
-    before = set(leaked_segments())
-    router = LiangShenRouter(net)
-    failures = []
-    with ShardManager(net, shards=2, replicas=2, workers=1) as manager:
-        frontend = FrontendRouter(manager)
-        pairs = all_pairs_workload(net, seed=24)
-        start = time.perf_counter()
-        for source, target in pairs:
-            try:
-                remote = frontend.route(source, target)
-            except NoPathError:
-                remote = None
-            local = _try(router, source, target)
-            local_path = None if local is None else local.path
-            if remote != local_path:
-                failures.append(
-                    f"tier answer differs for {source}->{target}"
-                )
-        t_probe = time.perf_counter() - start
-        report = ClosedLoopLoadGenerator(
-            frontend, pairs, concurrency=2, batch_size=32, total_queries=2000
-        ).run()
-        frontend.close()
-    print(
-        f"serving smoke: {len(pairs)} identity probes in "
-        f"{t_probe * 1e3:.1f} ms; closed loop {report.queries} queries at "
-        f"{report.throughput:.0f} q/s "
-        f"(p50 {report.latency['p50']:.2f} ms, "
-        f"p999 {report.latency['p999']:.2f} ms, "
-        f"{os.cpu_count()} CPU(s))"
-    )
-    leaked = sorted(set(leaked_segments()) - before)
-    if leaked:
-        failures.append(f"leaked shared-memory segment(s): {', '.join(leaked)}")
-    if failures:
-        for line in failures:
-            print(f"MISMATCH: {line}", file=sys.stderr)
-        return 1
-    print("serving smoke: tier == in-process router, no leaked segments")
     return 0
 
 

@@ -7,9 +7,8 @@ python -m repro route net.json 0 6 --max-conversions 1 --alternatives 3
 python -m repro all-pairs net.json --workers 4
 python -m repro sizes net.json
 python -m repro provision net.json --load 30 --requests 500 --policy first-fit
-python -m repro serve-bench net.json --requests 1000 --workers 4
 python -m repro serve net.json --workers 4 --host 127.0.0.1 --port 4500
-python -m repro serve net.json --uds "" --bench --requests 200
+python -m repro chaos net.json --cluster --seconds 30 --faults 8
 python -m repro multicast net.json --source 1 --member 4 --member 6
 python -m repro multicast --seconds 60 --seed 1998
 python -m repro dot net.json --figure fig3 --node 3
@@ -223,76 +222,6 @@ def _cmd_provision(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import random
-    import time
-
-    from repro.exceptions import NoPathError, ServiceOverloadError
-    from repro.service import RoutingService
-
-    if args.workers < 0:
-        print("--workers must be >= 0", file=sys.stderr)
-        return EXIT_ERROR
-    if args.queue_limit < 1:
-        print("--queue-limit must be positive", file=sys.stderr)
-        return EXIT_ERROR
-    network = _load_network(args.network)
-    nodes = network.nodes()
-    if len(nodes) < 2:
-        print("network needs at least two nodes", file=sys.stderr)
-        return EXIT_ERROR
-    rng = random.Random(args.seed)
-    pairs = []
-    while len(pairs) < args.requests:
-        source, target = rng.sample(nodes, 2)
-        pairs.append((source, target))
-
-    served = blocked = 0
-    start = time.perf_counter()
-    with RoutingService(
-        network, workers=args.workers, queue_limit=args.queue_limit
-    ) as service:
-        futures = []
-
-        def drain() -> None:
-            nonlocal served, blocked
-            for future in futures:
-                try:
-                    future.result(timeout=60.0)
-                    served += 1
-                except NoPathError:
-                    blocked += 1
-            futures.clear()
-
-        for index, (source, target) in enumerate(pairs):
-            if args.invalidate_every and index and index % args.invalidate_every == 0:
-                drain()  # settle in-flight queries against the old epoch
-                service.invalidate()
-            if args.workers == 0:
-                try:
-                    service.route(source, target)
-                    served += 1
-                except NoPathError:
-                    blocked += 1
-                continue
-            try:
-                futures.append(service.submit(source, target))
-            except ServiceOverloadError:
-                drain()
-                futures.append(service.submit(source, target))
-        drain()
-        elapsed = time.perf_counter() - start
-        print(
-            f"served {served} / blocked {blocked} of {args.requests} queries "
-            f"in {elapsed:.3f}s ({args.requests / elapsed:,.0f} qps) "
-            f"[workers={args.workers} queue_limit={args.queue_limit} "
-            f"epoch={service.epoch}]"
-        )
-        print()
-        print(service.render_metrics())
-    return EXIT_OK
-
-
 def _oracle_matrix(args: argparse.Namespace):
     """The oracle tuple for verify/fuzz, plus the live-server manager.
 
@@ -309,7 +238,7 @@ def _oracle_matrix(args: argparse.Namespace):
         server_oracle,
     )
 
-    manager = ServerOracleManager(workers=1)
+    manager = ServerOracleManager()
     return default_oracles() + (server_oracle(manager),), manager
 
 
@@ -418,75 +347,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return leak_status
 
 
-def _serve_bench(server, network: WDMNetwork, args: argparse.Namespace) -> int:
-    """``repro serve --bench``: latency probe + identity check, then exit.
-
-    Drives *requests* single-pair queries and one full
-    ``route_all_pairs`` through a live client, requires byte-identical
-    answers to the in-process router, and audits shared segments after
-    shutdown.  Exit codes: 4 on any mismatch, 5 on a leaked segment.
-    """
-    import random
-    import time
-
-    from repro.server import RouterClient
-    from repro.shortestpath.shared import leaked_segments
-
-    segments_before = set(leaked_segments())
-    server.start()
-    router = LiangShenRouter(network)
-    mismatches = 0
-    with RouterClient(server.address) as client:
-        nodes = client.snapshot()["sources"]
-        rng = random.Random(args.seed)
-        pairs = [
-            tuple(rng.sample(nodes, 2)) for _ in range(max(0, args.requests))
-        ]
-        latencies: list[float] = []
-        for source, target in pairs:
-            begin = time.perf_counter()
-            try:
-                remote = client.route(source, target)
-            except NoPathError:
-                remote = None
-            latencies.append(time.perf_counter() - begin)
-            try:
-                local = router.route(source, target).path
-            except NoPathError:
-                local = None
-            if remote != local:
-                mismatches += 1
-        begin = time.perf_counter()
-        remote_all = client.route_all_pairs()
-        all_pairs_seconds = time.perf_counter() - begin
-        serial_all = router.route_all_pairs()
-        if (
-            remote_all.paths != serial_all.paths
-            or list(remote_all.paths) != list(serial_all.paths)
-            or remote_all.stats != serial_all.stats
-        ):
-            mismatches += 1
-        client.shutdown()
-    server.close()
-    if latencies:
-        ordered = sorted(latencies)
-        p50 = ordered[len(ordered) // 2]
-        p99 = ordered[min(len(ordered) - 1, (len(ordered) * 99) // 100)]
-        print(
-            f"serve-bench: {len(pairs)} routes, p50 {p50 * 1e6:.0f}us, "
-            f"p99 {p99 * 1e6:.0f}us"
-        )
-    print(
-        f"serve-bench: all-pairs over the wire in {all_pairs_seconds:.3f}s "
-        f"({len(remote_all.paths)} paths)"
-    )
-    print(f"serve-bench: {mismatches} mismatch(es) vs in-process router")
-    leak_status = _audit_segments(segments_before)
-    if mismatches:
-        return EXIT_DISAGREEMENT
-    return leak_status
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import RouterServer
 
@@ -495,19 +355,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--workers must be >= 1", file=sys.stderr)
         return EXIT_ERROR
     if args.uds is not None:
-        server = RouterServer(
-            network, workers=args.workers, uds=args.uds, heap=args.heap
-        )
+        server = RouterServer(network, workers=args.workers, uds=args.uds)
     else:
         server = RouterServer(
-            network,
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            heap=args.heap,
+            network, workers=args.workers, host=args.host, port=args.port
         )
-    if args.bench:
-        return _serve_bench(server, network, args)
     server.start()
     # SIGTERM/SIGINT drain claimed jobs, unlink the segment, and let
     # join() return — a supervisor's TERM leaves no /dev/shm residue.
@@ -560,6 +412,9 @@ def _chaos_cluster(
     from repro.cluster import ClusterSoak
     from repro.shortestpath.shared import leaked_segments
 
+    if args.shards < 1 or args.replicas < 1:
+        print("--shards/--replicas must be >= 1", file=sys.stderr)
+        return EXIT_ERROR
     segments_before = set(leaked_segments())
     total_violations = 0
     for index, (name, network) in enumerate(networks):
@@ -567,7 +422,6 @@ def _chaos_cluster(
             network,
             shards=args.shards,
             replicas=args.replicas,
-            workers=1,
             seconds=budget,
             num_faults=args.faults,
             seed=args.seed + index,
@@ -664,177 +518,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return EXIT_VIOLATION
     print(f"chaos: all invariants held across {len(networks)} network(s)")
     return EXIT_OK
-
-
-def _cluster_network(args: argparse.Namespace) -> "tuple[str, WDMNetwork]":
-    """The tier's network: an explicit file, else a generated sparse WAN."""
-    if args.network:
-        return args.network, _load_network(args.network)
-    from repro.topology.generators import degree_bounded_network
-
-    return (
-        f"degree-bounded-{args.nodes}",
-        degree_bounded_network(args.nodes, args.wavelengths, seed=args.seed),
-    )
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """``repro cluster bench|smoke``: the sharded serving tier.
-
-    ``bench`` runs the closed-loop load harness (a concurrency sweep
-    totalling ``--queries`` queries on one live tier), prefixed by a
-    byte-identity probe against the in-process router, and writes the
-    latency/saturation results to ``--output``.  ``smoke`` runs the
-    fault-storm soak (:class:`~repro.cluster.chaos.ClusterSoak`).  Exit
-    codes: 4 when the identity probe disagrees, 5 on a soak violation
-    or a leaked shared segment.
-    """
-    from repro.shortestpath.shared import leaked_segments
-
-    if args.shards < 1 or args.replicas < 1 or args.workers < 1:
-        print("--shards/--replicas/--workers must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
-    segments_before = set(leaked_segments())
-    name, network = _cluster_network(args)
-
-    if args.mode == "smoke":
-        from repro.cluster import ClusterSoak
-
-        soak = ClusterSoak(
-            network,
-            shards=args.shards,
-            replicas=args.replicas,
-            workers=args.workers,
-            seconds=args.seconds,
-            num_faults=args.faults,
-            seed=args.seed,
-        )
-        report = soak.run()
-        summary = report.to_dict()
-        print(
-            f"cluster smoke [{name}] {args.shards}x{args.replicas}: "
-            f"{summary['events_applied']} event(s), "
-            f"{summary['queries']} queries, {summary['verified']} verified"
-        )
-        for violation in report.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        leak_status = _audit_segments(segments_before)
-        if report.violations:
-            return EXIT_VIOLATION
-        print("cluster smoke: all invariants held")
-        return leak_status
-
-    # bench
-    import datetime
-    import os
-    import random
-    import time
-
-    from repro.cluster import (
-        ClosedLoopLoadGenerator,
-        FrontendRouter,
-        ShardManager,
-        all_pairs_workload,
-    )
-
-    sweep = [int(c) for c in args.concurrency.split(",") if c]
-    if not sweep or any(c < 1 for c in sweep):
-        print("--concurrency must be positive integers", file=sys.stderr)
-        return EXIT_ERROR
-    if args.queries < 1:
-        print("--queries must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
-    per_point = -(-args.queries // len(sweep))  # ceil: total >= --queries
-    pairs = all_pairs_workload(network, seed=args.seed)
-    router = LiangShenRouter(network, heap=args.heap)
-    runs = []
-    mismatches = 0
-    begin = time.perf_counter()
-    with ShardManager(
-        network,
-        shards=args.shards,
-        replicas=args.replicas,
-        workers=args.workers,
-        heap=args.heap,
-    ) as manager:
-        frontend = FrontendRouter(manager)
-        # Identity probe: the tier must answer byte-identically to the
-        # in-process router before any throughput number means anything.
-        rng = random.Random(args.seed)
-        probe_pairs = [
-            pairs[rng.randrange(len(pairs))] for _ in range(args.probes)
-        ]
-        for source, target in probe_pairs:
-            try:
-                remote = frontend.route(source, target)
-            except NoPathError:
-                remote = None
-            try:
-                local = router.route(source, target).path
-            except NoPathError:
-                local = None
-            if remote != local:
-                mismatches += 1
-        print(
-            f"cluster bench [{name}] {args.shards}x{args.replicas} "
-            f"(workers={args.workers}): identity probe "
-            f"{len(probe_pairs)} pair(s), {mismatches} mismatch(es)"
-        )
-        for concurrency in sweep:
-            frontend.metrics.reset()
-            generator = ClosedLoopLoadGenerator(
-                frontend,
-                pairs,
-                concurrency=concurrency,
-                batch_size=args.batch,
-                total_queries=per_point,
-            )
-            report = generator.run()
-            runs.append(report.to_dict())
-            latency = report.latency
-            print(
-                f"  concurrency {concurrency}: {report.queries} queries in "
-                f"{report.elapsed:.1f}s = {report.throughput:.0f} q/s, "
-                f"p50 {latency['p50']}ms p99 {latency['p99']}ms "
-                f"p999 {latency['p999']}ms, shed {report.shed}"
-            )
-        frontend.close()
-    elapsed = time.perf_counter() - begin
-    saturation = max((run["throughput_qps"] for run in runs), default=0.0)
-    total_queries = sum(run["queries"] for run in runs)
-    document = {
-        "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "cpu_count": os.cpu_count(),
-        "network": {
-            "name": name,
-            "nodes": len(network.nodes()),
-            "wavelengths": network.num_wavelengths,
-        },
-        "tier": {
-            "shards": args.shards,
-            "replicas": args.replicas,
-            "workers_per_replica": args.workers,
-            "heap": args.heap,
-        },
-        "identity_probe": {
-            "pairs": len(probe_pairs),
-            "mismatches": mismatches,
-        },
-        "total_queries": total_queries,
-        "elapsed_s": round(elapsed, 1),
-        "saturation_qps": saturation,
-        "runs": runs,
-    }
-    if args.output:
-        Path(args.output).write_text(json.dumps(document, indent=2) + "\n")
-        print(
-            f"cluster bench: {total_queries} queries total, saturation "
-            f"{saturation:.0f} q/s; wrote {args.output}"
-        )
-    leak_status = _audit_segments(segments_before)
-    if mismatches:
-        return EXIT_DISAGREEMENT
-    return leak_status
 
 
 def _cmd_multicast(args: argparse.Namespace) -> int:
@@ -1167,23 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prov.set_defaults(fn=_cmd_provision)
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="synthetic query load through the cached RoutingService",
-    )
-    p_serve.add_argument("network")
-    p_serve.add_argument("--requests", type=int, default=1000)
-    p_serve.add_argument(
-        "--workers", type=int, default=4, help="0 = synchronous serving"
-    )
-    p_serve.add_argument("--queue-limit", type=int, default=256)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--invalidate-every", type=int, default=0, metavar="N",
-        help="full cache invalidation every N requests (0 = never)",
-    )
-    p_serve.set_defaults(fn=_cmd_serve_bench)
-
     p_srv = sub.add_parser(
         "serve",
         help="persistent shared-memory router server (TCP or UDS)",
@@ -1205,17 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--workers", type=int, default=2, help="warm worker processes"
     )
-    p_srv.add_argument("--heap", default="flat", help="tree-run kernel name")
-    p_srv.add_argument(
-        "--bench", action="store_true",
-        help="start, drive a latency/identity probe, shut down, and audit "
-        "shared segments (exit 4 on mismatch, 5 on a leaked segment)",
-    )
-    p_srv.add_argument(
-        "--requests", type=int, default=200,
-        help="--bench: number of single-pair probes",
-    )
-    p_srv.add_argument("--seed", type=int, default=0)
     p_srv.set_defaults(fn=_cmd_serve)
 
     p_verify = sub.add_parser(
@@ -1316,74 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="--cluster: replicas per shard",
     )
     p_chaos.set_defaults(fn=_cmd_chaos)
-
-    p_cluster = sub.add_parser(
-        "cluster",
-        help="sharded, replicated serving tier: closed-loop load bench "
-        "or fault-storm smoke",
-    )
-    sub_cluster = p_cluster.add_subparsers(dest="mode", required=True)
-    for mode, mode_help in (
-        ("bench", "closed-loop load sweep + identity probe, results to JSON"),
-        ("smoke", "fault storm with exact oracles against a live tier"),
-    ):
-        p_mode = sub_cluster.add_parser(mode, help=mode_help)
-        p_mode.add_argument(
-            "network", nargs="?", default=None,
-            help="network JSON file (default: a generated degree-bounded "
-            "WAN, see --nodes/--wavelengths)",
-        )
-        p_mode.add_argument(
-            "--shards", type=int, default=2, help="shard count"
-        )
-        p_mode.add_argument(
-            "--replicas", type=int, default=2, help="replicas per shard"
-        )
-        p_mode.add_argument(
-            "--workers", type=int, default=1,
-            help="worker processes per replica",
-        )
-        p_mode.add_argument(
-            "--nodes", type=int, default=32,
-            help="generated-network node count",
-        )
-        p_mode.add_argument(
-            "--wavelengths", type=int, default=4,
-            help="generated-network wavelength count",
-        )
-        p_mode.add_argument("--seed", type=int, default=1998)
-        p_mode.add_argument("--heap", default="flat", help="tree-run kernel")
-        if mode == "bench":
-            p_mode.add_argument(
-                "--queries", type=int, default=1_000_000,
-                help="minimum total queries across the sweep",
-            )
-            p_mode.add_argument(
-                "--concurrency", default="1,2,4,8",
-                help="comma-separated closed-loop concurrency sweep",
-            )
-            p_mode.add_argument(
-                "--batch", type=int, default=64,
-                help="queries per ROUTE_BATCH frame",
-            )
-            p_mode.add_argument(
-                "--probes", type=int, default=200,
-                help="identity-probe pairs vs the in-process router",
-            )
-            p_mode.add_argument(
-                "--output", default="BENCH_serving.json",
-                help="result JSON path ('' = don't write)",
-            )
-        else:
-            p_mode.add_argument(
-                "--seconds", type=float, default=30.0,
-                help="storm wall-clock budget",
-            )
-            p_mode.add_argument(
-                "--faults", type=int, default=8,
-                help="faults in the seeded plan (recoveries implied)",
-            )
-        p_mode.set_defaults(fn=_cmd_cluster, mode=mode)
 
     p_mc = sub.add_parser(
         "multicast",

@@ -10,30 +10,24 @@ Composition, bottom-up (see ``docs/serving.md`` → "Sharded tier"):
 * :class:`~repro.cluster.frontend.FrontendRouter` — the client:
   placement, replica failover, per-replica circuit breakers, admission
   control, load shedding;
-* :class:`~repro.cluster.loadgen.ClosedLoopLoadGenerator` — the
-  million-query closed-loop harness behind ``repro cluster bench``;
 * :class:`~repro.cluster.chaos.ClusterSoak` — the fault-storm soak with
-  epoch-indexed exact oracles behind ``repro cluster smoke`` and
-  ``repro chaos --cluster``.
+  epoch-indexed exact oracles behind ``repro chaos --cluster``.
+
+The tier is timed by the repository benchmark (``perfbench/``, workload
+``served_churn``), not from here.
 """
 
 from repro.cluster.chaos import ClusterSoak, ClusterSoakReport, event_to_patch_ops
 from repro.cluster.frontend import FrontendRouter
-from repro.cluster.loadgen import (
-    ClosedLoopLoadGenerator,
-    LoadReport,
-    all_pairs_workload,
-)
+from repro.cluster.loadgen import all_pairs_workload
 from repro.cluster.ring import HashRing, stable_hash64
 from repro.cluster.shards import ShardManager
 
 __all__ = [
-    "ClosedLoopLoadGenerator",
     "ClusterSoak",
     "ClusterSoakReport",
     "FrontendRouter",
     "HashRing",
-    "LoadReport",
     "ShardManager",
     "all_pairs_workload",
     "event_to_patch_ops",

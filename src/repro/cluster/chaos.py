@@ -1,6 +1,6 @@
 """Chaos soak against the sharded tier: faults, gossip, verification.
 
-:class:`ClusterSoak` boots an N×R tier, drives background closed-loop
+:class:`ClusterSoak` boots an N×R tier, drives background batched
 load through the :class:`~repro.cluster.frontend.FrontendRouter`, and
 replays a seeded :class:`~repro.faults.plan.FaultPlan` as wire PATCHes —
 one replica per shard receives each patch, gossip must carry it to the
@@ -42,7 +42,7 @@ from repro.cluster.shards import ShardManager
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import RemoteRouterError, SemilightError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultEvent, FaultPlan, generate_plan
+from repro.faults.plan import FaultEvent, generate_plan
 from repro.server.client import RouterClient
 from repro.shortestpath.shared import leaked_segments
 from repro.verify.certificate import check_certificate
@@ -127,8 +127,9 @@ class ClusterSoak:
     ----------
     network:
         The network the tier serves; also seeds the oracle snapshots.
-    shards / replicas / workers:
-        Tier shape (see :class:`~repro.cluster.shards.ShardManager`).
+    shards / replicas:
+        Tier shape (see :class:`~repro.cluster.shards.ShardManager`);
+        every replica runs one worker process.
     seconds:
         Wall-clock budget for the storm phase; events from the seeded
         plan fire at their scheduled fraction of this budget.
@@ -138,8 +139,8 @@ class ClusterSoak:
     seed:
         Drives the plan, the workload shuffle, and probe sampling.
     load_concurrency / verify_sample:
-        Background closed-loop threads, and how many verification
-        probes to run per convergence window.
+        Background load threads (one batch in flight each), and how
+        many verification probes to run per convergence window.
     """
 
     def __init__(
@@ -148,24 +149,20 @@ class ClusterSoak:
         *,
         shards: int = 2,
         replicas: int = 2,
-        workers: int = 1,
         seconds: float = 30.0,
         num_faults: int = 8,
         seed: int = 1998,
         load_concurrency: int = 2,
         verify_sample: int = 8,
-        heap: str = "flat",
     ) -> None:
         self._network = network
         self._shards = shards
         self._replicas = replicas
-        self._workers = workers
         self._seconds = seconds
         self._num_faults = num_faults
         self._seed = seed
         self._load_concurrency = load_concurrency
         self._verify_sample = verify_sample
-        self._heap = heap
 
     def run(self) -> ClusterSoakReport:
         report = ClusterSoakReport(
@@ -199,8 +196,6 @@ class ClusterSoak:
             self._network,
             shards=self._shards,
             replicas=self._replicas,
-            workers=self._workers,
-            heap=self._heap,
         ) as manager:
             frontend = FrontendRouter(manager)
             stop_load = threading.Event()

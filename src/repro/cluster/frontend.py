@@ -254,8 +254,8 @@ class FrontendRouter:
         Pairs are grouped by owning shard, each group travels as one
         ``ROUTE_BATCH`` frame, and answers are stitched back into input
         order.  One admission slot covers the whole batch — admission
-        bounds concurrent *calls* (sockets in flight), matching the
-        closed-loop harness where one thread is one caller.
+        bounds concurrent *calls* (sockets in flight), matching a load
+        generator where one thread is one caller.
         """
         sem = self._admit()
         try:

@@ -1,43 +1,19 @@
-"""Closed-loop load generation against the sharded tier.
+"""Query workloads for the sharded tier.
 
-A closed-loop harness models a fixed population of callers: each of
-``concurrency`` worker threads issues one batched request, waits for the
-answer, and immediately issues the next.  Offered load is therefore
-controlled by the concurrency level (and batch size), and the measured
-throughput at high concurrency **is** the saturation throughput — the
-tier cannot be pushed past it by this workload, queues simply grow.
-This matches how blocking-probability-vs-load curves are produced in
-the WDM performance literature: sweep offered load, record the service
-measure at each point.
-
-Latency bookkeeping is honest about batching: every query in a batch
-experiences the batch's round-trip time, so the harness records the
-batch RTT once **per query** into an exact
-(:class:`~repro.service.metrics.Histogram` with ``window=None``)
-histogram — p999 over a million-query run is a true population
-quantile, not a window estimate.
+:func:`all_pairs_workload` is the query mix the tier soak
+(:class:`~repro.cluster.chaos.ClusterSoak`) drives through the frontend
+and samples its verification probes from.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable
-
-from repro.exceptions import (
-    RemoteRouterError,
-    ServiceOverloadError,
-)
-from repro.service.metrics import Histogram
+from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.frontend import FrontendRouter
     from repro.core.network import WDMNetwork
 
-__all__ = ["ClosedLoopLoadGenerator", "LoadReport", "all_pairs_workload"]
+__all__ = ["all_pairs_workload"]
 
 NodeId = Hashable
 
@@ -54,170 +30,3 @@ def all_pairs_workload(
     pairs = [(s, t) for s in nodes for t in nodes if s != t]
     random.Random(seed).shuffle(pairs)
     return pairs
-
-
-@dataclass
-class LoadReport:
-    """One closed-loop run's results (one offered-load point)."""
-
-    concurrency: int
-    batch_size: int
-    queries: int = 0
-    shed: int = 0
-    no_path: int = 0
-    errors: int = 0
-    elapsed: float = 0.0
-    latency: dict[str, float] = field(default_factory=dict)
-    per_shard: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Completed queries per second over the run."""
-        return self.queries / self.elapsed if self.elapsed > 0 else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "concurrency": self.concurrency,
-            "batch_size": self.batch_size,
-            "queries": self.queries,
-            "shed": self.shed,
-            "no_path": self.no_path,
-            "errors": self.errors,
-            "elapsed_s": round(self.elapsed, 4),
-            "throughput_qps": round(self.throughput, 1),
-            "latency_ms": self.latency,
-            "per_shard": self.per_shard,
-        }
-
-
-class ClosedLoopLoadGenerator:
-    """Drive a :class:`~repro.cluster.frontend.FrontendRouter` to a
-    query target (or a time budget) and measure the tail.
-
-    Parameters
-    ----------
-    frontend:
-        The tier client; shared by all worker threads.
-    pairs:
-        The query mix, cycled round-robin (each thread strides through
-        it by a global batch counter, so the mix is covered evenly).
-    concurrency:
-        Closed-loop population: threads with one request in flight each.
-    batch_size:
-        Queries per ``ROUTE_BATCH`` frame.  1 measures per-query RTT;
-        larger batches amortize framing and raise saturation throughput.
-    total_queries / seconds:
-        Stop conditions; the run ends when either is reached (at least
-        one must be given).  The query target is a minimum — in-flight
-        batches complete, they are never abandoned.
-    """
-
-    def __init__(
-        self,
-        frontend: "FrontendRouter",
-        pairs: "list[tuple[NodeId, NodeId]]",
-        *,
-        concurrency: int = 4,
-        batch_size: int = 64,
-        total_queries: int | None = None,
-        seconds: float | None = None,
-    ) -> None:
-        if not pairs:
-            raise ValueError("need at least one query pair")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if total_queries is None and seconds is None:
-            raise ValueError("need a stop condition: total_queries or seconds")
-        self._frontend = frontend
-        self._pairs = list(pairs)
-        self._concurrency = concurrency
-        self._batch_size = batch_size
-        self._total_queries = total_queries
-        self._seconds = seconds
-        self._batch_counter = itertools.count()
-        self._stop = threading.Event()
-
-    def stop(self) -> None:
-        """Ask the run to wind down (threads finish their current batch)."""
-        self._stop.set()
-
-    def _next_batch(self) -> "list[tuple[NodeId, NodeId]]":
-        index = next(self._batch_counter) * self._batch_size
-        pairs = self._pairs
-        return [pairs[(index + k) % len(pairs)] for k in range(self._batch_size)]
-
-    def run(self) -> LoadReport:
-        """Execute the closed loop; returns the aggregated report."""
-        report = LoadReport(
-            concurrency=self._concurrency, batch_size=self._batch_size
-        )
-        # Exact-mode histogram: one float per query, ~8 MB at 10⁶ —
-        # bounded by the run, and the whole point is an exact p999.
-        latency = Histogram(window=None)
-        lock = threading.Lock()
-        deadline = (
-            time.monotonic() + self._seconds
-            if self._seconds is not None
-            else None
-        )
-
-        def done() -> bool:
-            if self._stop.is_set():
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return True
-            if self._total_queries is not None:
-                with lock:
-                    if report.queries >= self._total_queries:
-                        return True
-            return False
-
-        def worker() -> None:
-            while not done():
-                batch = self._next_batch()
-                begin = time.perf_counter()
-                try:
-                    answers = self._frontend.route_batch(batch)
-                except ServiceOverloadError:
-                    with lock:
-                        report.shed += len(batch)
-                    continue
-                except RemoteRouterError:
-                    with lock:
-                        report.errors += len(batch)
-                    continue
-                elapsed_ms = (time.perf_counter() - begin) * 1e3
-                unreachable = sum(1 for answer in answers if answer is None)
-                for _ in range(len(batch)):
-                    latency.observe(elapsed_ms)
-                with lock:
-                    report.queries += len(batch)
-                    report.no_path += unreachable
-
-        threads = [
-            threading.Thread(target=worker, name=f"loadgen-{i}", daemon=True)
-            for i in range(self._concurrency)
-        ]
-        begin = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        report.elapsed = time.perf_counter() - begin
-        quantiles = latency.percentiles([50, 99, 99.9])
-        report.latency = {
-            "p50": round(quantiles[50], 3),
-            "p99": round(quantiles[99], 3),
-            "p999": round(quantiles[99.9], 3),
-            "mean": round(latency.mean, 3),
-            "max": round(latency.maximum, 3) if latency.count else 0.0,
-        }
-        snapshot = self._frontend.metrics.snapshot()
-        report.per_shard = {
-            name.split(".")[2]: value
-            for name, value in snapshot.items()
-            if name.startswith("frontend.shard.")
-        }
-        return report

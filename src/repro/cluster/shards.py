@@ -45,7 +45,7 @@ class ShardManager:
         sharded tier with no gossip.
     workers:
         Worker processes per replica server.
-    heap / debug / request_timeout / drain_timeout:
+    debug / request_timeout / drain_timeout:
         Forwarded to every :class:`RouterServer`.
     vnodes:
         Virtual nodes per shard on the placement ring.
@@ -61,7 +61,6 @@ class ShardManager:
         shards: int = 2,
         replicas: int = 2,
         workers: int = 1,
-        heap: str = "flat",
         debug: bool = False,
         request_timeout: float = 120.0,
         drain_timeout: float = 2.0,
@@ -76,7 +75,6 @@ class ShardManager:
         self.num_replicas = replicas
         self._server_kwargs = {
             "workers": workers,
-            "heap": heap,
             "debug": debug,
             "request_timeout": request_timeout,
             "drain_timeout": drain_timeout,

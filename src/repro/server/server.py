@@ -87,7 +87,7 @@ PATCH_EVENTS = frozenset(
 )
 
 
-def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
+def _worker_main(segment: str, index: int, tasks, results) -> None:
     """Worker process body: attach once, serve jobs until the poison pill.
 
     Every computation runs under ``SharedCSR.read_stable`` so a PATCH
@@ -112,12 +112,14 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
             state["epoch"] = epoch
 
     def route_one(source: NodeId, target: NodeId):
-        forest = state["forests"].get(source)
-        if forest is None:
-            from repro.core.forest import run_forest
+        cached = state["forests"].get(source)
+        if cached is None:
+            # Resolved on the module at call time, so a rebound
+            # ``forest.run_forest`` (a tracing wrapper) is honoured.
+            from repro.core import forest
 
-            forest = state["forests"][source] = run_forest(aux, source, heap=heap)
-        return protocol.encode_path(forest.path_to(target))
+            cached = state["forests"][source] = forest.run_forest(aux, source)
+        return protocol.encode_path(cached.path_to(target))
 
     def execute(op: int, payload: Any):
         if op == Op.ROUTE:
@@ -151,7 +153,7 @@ def _worker_main(segment: str, heap: str, index: int, tasks, results) -> None:
                         aux.graph.num_nodes
                     )
                 trees, settled, relaxations, heap_totals = run_trees(
-                    aux, sources, heap, scratch
+                    aux, sources, "flat", scratch
                 )
                 wire = [
                     (s, [(t, protocol.encode_path(p)) for t, p in tree.items()])
@@ -216,9 +218,6 @@ class RouterServer:
         exclusive with *uds*.
     uds:
         Unix-domain socket path; generated under a temp dir when ``""``.
-    heap:
-        Kernel name workers run trees with (must be a name, it crosses a
-        process boundary).
     debug:
         Enables the ``SLEEP`` opcode (tests pin a worker to kill it).
     request_timeout:
@@ -241,7 +240,6 @@ class RouterServer:
         host: str | None = None,
         port: int = 0,
         uds: str | None = None,
-        heap: str = "flat",
         debug: bool = False,
         request_timeout: float = 120.0,
         peers: "list | None" = None,
@@ -249,12 +247,9 @@ class RouterServer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if not isinstance(heap, str):
-            raise TypeError("the server requires a heap name, not a factory")
         if uds is not None and host is not None:
             raise ValueError("pass either a TCP host or a UDS path, not both")
         self._network = network
-        self._heap = heap
         self._debug = debug
         self._request_timeout = request_timeout
         self._drain_timeout = drain_timeout
@@ -531,7 +526,6 @@ class RouterServer:
             target=_worker_main,
             args=(
                 self._shared.name,
-                self._heap,
                 index,
                 self._tasks,
                 self._results,
@@ -756,7 +750,6 @@ class RouterServer:
             "sizes": self._aux.sizes,
             "sources": list(self._sources),
             "workers": self._num_workers,
-            "heap": self._heap,
         }
 
     def _stats(self) -> dict[str, Any]:

@@ -10,8 +10,8 @@ already emit.
 
 Everything is in-process and lock-protected; there is no export
 protocol.  ``snapshot()`` returns plain dicts so callers can ship the
-numbers wherever they like (the CLI's ``serve-bench`` just prints
-``render()``).
+numbers wherever they like; ``render()`` is the human-readable form
+(``RoutingService.render_metrics()``).
 """
 
 from __future__ import annotations

@@ -241,22 +241,21 @@ def _batch_lazy_forest(network: "WDMNetwork") -> RouteFn:
 class ServerOracleManager:
     """Serve scenarios through a live router server (``liang:server``).
 
-    ``prepare`` starts a fresh UDS :class:`~repro.server.RouterServer`
-    for each scenario network (stopping the previous one), optionally
-    drives the same deterministic *net-zero* fail/recover churn as
-    ``liang:delta:churn`` — but through wire-level ``PATCH`` frames, so
-    the shared-memory write-through path is what gets checked — and
-    hands out the client's route closure.  The returned paths must be
-    byte-identical to every in-process hop-exact oracle.
+    ``prepare`` starts a fresh one-worker UDS
+    :class:`~repro.server.RouterServer` for each scenario network
+    (stopping the previous one), drives the same deterministic *net-zero*
+    fail/recover churn as ``liang:delta:churn`` — but through wire-level
+    ``PATCH`` frames, so the shared-memory write-through path is what
+    gets checked — and hands out the client's route closure.  The
+    returned paths must be byte-identical to every in-process hop-exact
+    oracle.
 
     The manager outlives the harness run; the caller owns ``close()``
     (the CLI wraps fuzz/verify in ``try/finally``) and should assert
     :func:`repro.shortestpath.shared.leaked_segments` is empty after.
     """
 
-    def __init__(self, workers: int = 1, churn: bool = True) -> None:
-        self._workers = workers
-        self._churn = churn
+    def __init__(self) -> None:
         self._server = None
         self._client = None
         #: Scenario servers started so far (smoke-test observability).
@@ -266,31 +265,28 @@ class ServerOracleManager:
         from repro.server import RouterClient, RouterServer
 
         self.close()
-        self._server = RouterServer(
-            network, workers=self._workers, uds=""
-        ).start()
+        self._server = RouterServer(network, workers=1, uds="").start()
         self._client = RouterClient(self._server.address)
         self.scenarios += 1
-        if self._churn:
-            channels, links, converters = _churn_resources(network)
-            fail = (
-                [("fail_channel", c) for c in channels]
-                + [("fail_link", link) for link in links]
-                + [("fail_converter", (n,)) for n in converters]
+        channels, links, converters = _churn_resources(network)
+        fail = (
+            [("fail_channel", c) for c in channels]
+            + [("fail_link", link) for link in links]
+            + [("fail_converter", (n,)) for n in converters]
+        )
+        recover = (
+            [("recover_converter", (n,)) for n in converters]
+            + [("recover_link", link) for link in links]
+            + [("recover_channel", c) for c in channels]
+        )
+        if fail:
+            self._client.patch(fail)
+            self._client.patch(recover)
+        residue = self._client.snapshot()["masked_edges"]
+        if residue:
+            raise DeltaParityError(
+                f"server-side net-zero churn left {residue} edge(s) masked"
             )
-            recover = (
-                [("recover_converter", (n,)) for n in converters]
-                + [("recover_link", link) for link in links]
-                + [("recover_channel", c) for c in channels]
-            )
-            if fail:
-                self._client.patch(fail)
-                self._client.patch(recover)
-            residue = self._client.snapshot()["masked_edges"]
-            if residue:
-                raise DeltaParityError(
-                    f"server-side net-zero churn left {residue} edge(s) masked"
-                )
         return _none_on_nopath(self._client.route)
 
     def close(self) -> None:

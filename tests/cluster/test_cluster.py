@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.cluster import (
-    ClosedLoopLoadGenerator,
     ClusterSoak,
     FrontendRouter,
     ShardManager,
@@ -258,38 +257,15 @@ class TestFailover:
             frontend.close()
 
 
-class TestLoadGenerator:
-    def test_reaches_query_target(self, tier):
-        network, manager = tier
-        frontend = FrontendRouter(manager)
-        generator = ClosedLoopLoadGenerator(
-            frontend,
-            all_pairs_workload(network, seed=3),
-            concurrency=2,
-            batch_size=8,
-            total_queries=400,
+class TestWorkload:
+    def test_all_pairs_workload_is_a_seeded_permutation(self):
+        network = paper_figure1_network()
+        nodes = network.nodes()
+        pairs = all_pairs_workload(network, seed=3)
+        assert sorted(pairs) == sorted(
+            (s, t) for s in nodes for t in nodes if s != t
         )
-        report = generator.run()
-        assert report.queries >= 400
-        assert report.errors == 0
-        assert report.throughput > 0
-        assert set(report.latency) == {"p50", "p99", "p999", "mean", "max"}
-        assert report.latency["p999"] >= report.latency["p50"]
-        frontend.close()
-
-    def test_validation(self, tier):
-        network, manager = tier
-        frontend = FrontendRouter(manager)
-        pairs = all_pairs_workload(network)
-        with pytest.raises(ValueError):
-            ClosedLoopLoadGenerator(frontend, [], total_queries=1)
-        with pytest.raises(ValueError):
-            ClosedLoopLoadGenerator(frontend, pairs)  # no stop condition
-        with pytest.raises(ValueError):
-            ClosedLoopLoadGenerator(
-                frontend, pairs, concurrency=0, total_queries=1
-            )
-        frontend.close()
+        assert pairs == all_pairs_workload(network, seed=3)
 
 
 class TestLifecycle:
@@ -310,7 +286,6 @@ class TestLifecycle:
             paper_figure1_network(),
             shards=2,
             replicas=2,
-            workers=1,
             seconds=2.0,
             num_faults=2,
             seed=1998,

@@ -29,6 +29,7 @@ from repro.server import protocol
 from repro.server.protocol import Op
 from repro.shortestpath.delta import DeltaOverlay
 from repro.shortestpath.shared import leaked_segments
+from repro.topology.generators import degree_bounded_network
 from repro.topology.reference import paper_figure1_network
 
 
@@ -90,7 +91,26 @@ def test_route_batch_matches_and_marks_unreachable(client, local_router, network
         assert got == expected
 
 
-def test_route_all_pairs_is_serial_identical(client, local_router):
+@pytest.fixture(scope="module", params=["paper-fig1", "degree-bounded-24"])
+def all_pairs_target(request, client, local_router):
+    """A live client and the in-process router it must match.
+
+    The 24-node WAN, on its own 2-worker server, splits into eight
+    three-source ``ALL_PAIRS_CHUNK`` frames: the multi-source chunk
+    merge that the 7-node paper network (one source per chunk) leaves
+    unexercised.
+    """
+    if request.param == "paper-fig1":
+        yield client, local_router
+        return
+    network = degree_bounded_network(24, 4, seed=1998)
+    with RouterServer(network, workers=2, uds="") as srv:
+        with RouterClient(srv.address) as cli:
+            yield cli, LiangShenRouter(network)
+
+
+def test_route_all_pairs_is_serial_identical(all_pairs_target):
+    client, local_router = all_pairs_target
     serial = local_router.route_all_pairs()
     remote = client.route_all_pairs(workers=2)
     assert remote.paths == serial.paths

@@ -4,22 +4,26 @@ The SHUTDOWN-frame path was already clean; these tests cover the
 supervisor path: a ``python -m repro serve`` process killed with TERM
 (or INT) must drain, unlink its shared segment and socket, and exit 0 —
 ``leaked_segments()`` is the ground truth, scanning ``/dev/shm`` after
-the process is gone.
+the process is gone.  One test serves over TCP on an ephemeral port,
+the CLI's TCP bind path.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core.routing import LiangShenRouter
 from repro.io import network_to_json
 from repro.server import RouterClient, RouterServer
 from repro.server.protocol import Op
@@ -106,6 +110,44 @@ def test_sigterm_drains_inflight_requests(network_file, tmp_path):
         assert op == Op.OK
         assert payload["path"] is not None
         sock.close()
+        code = process.wait(timeout=30.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+    assert code == 0
+    assert set(leaked_segments()) - before == set()
+
+
+def test_serve_over_tcp_reports_its_address(network_file):
+    """``serve --port 0`` binds TCP, prints the ephemeral address it got,
+    answers there, and still shuts down clean on TERM."""
+    before = set(leaked_segments())
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", str(network_file),
+            "--host", "127.0.0.1", "--port", "0", "--workers", "1",
+        ],
+        env={**os.environ, "PYTHONPATH": _SRC, "PYTHONUNBUFFERED": "1"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    lines: queue.Queue[str] = queue.Queue()
+    threading.Thread(
+        target=lambda: [lines.put(line) for line in process.stdout],
+        daemon=True,
+    ).start()
+    try:
+        deadline = time.monotonic() + 30.0
+        line = ""
+        while "listening on" not in line:
+            line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+        host, port = line.split()[-1].rsplit(":", 1)
+        assert host == "127.0.0.1" and int(port) > 0
+        expected = LiangShenRouter(paper_figure1_network()).route(1, 7).path
+        with RouterClient((host, int(port))) as client:
+            assert client.route(1, 7) == expected
+        process.send_signal(signal.SIGTERM)
         code = process.wait(timeout=30.0)
     finally:
         if process.poll() is None:

@@ -196,29 +196,6 @@ class TestFuzz:
         assert "--seconds" in capsys.readouterr().err
 
 
-class TestServeBench:
-    def test_serve_bench_prints_metrics(self, fig1_file, capsys):
-        assert main([
-            "serve-bench", fig1_file, "--requests", "50", "--workers", "0",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "of 50 queries" in out
-        assert "cache.hits" in out
-        assert "engine.served" in out
-
-    def test_serve_bench_with_workers_and_invalidation(self, fig1_file, capsys):
-        assert main([
-            "serve-bench", fig1_file, "--requests", "40", "--workers", "2",
-            "--invalidate-every", "10",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cache.rebuilds" in out
-        assert "epoch=3" in out
-
-    def test_serve_bench_missing_file(self, capsys):
-        assert main(["serve-bench", "/nonexistent.json"]) == 1
-
-
 class TestExitCodes:
     def test_constants_are_stable_and_distinct(self):
         from repro import cli
@@ -275,57 +252,21 @@ class TestChaos:
 
 
 class TestCluster:
-    def test_bench_writes_report(self, fig1_file, tmp_path, capsys):
-        out_file = tmp_path / "serving.json"
-        assert main([
-            "cluster", "bench", fig1_file, "--queries", "400",
-            "--concurrency", "2", "--batch", "16", "--probes", "20",
-            "--output", str(out_file),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "0 mismatch(es)" in out
-        document = json.loads(out_file.read_text())
-        assert document["total_queries"] >= 400
-        assert document["identity_probe"]["mismatches"] == 0
-        assert document["tier"] == {
-            "shards": 2, "replicas": 2, "workers_per_replica": 1,
-            "heap": "flat",
-        }
-        run = document["runs"][0]
-        assert {"p50", "p99", "p999"} <= set(run["latency_ms"])
-        assert document["cpu_count"] >= 1
-
     def test_smoke_holds_invariants(self, fig1_file, capsys):
         assert main([
-            "cluster", "smoke", fig1_file, "--seconds", "1.5",
+            "chaos", fig1_file, "--cluster", "--seconds", "1.5",
             "--faults", "2", "--seed", "1998",
         ]) == 0
         out = capsys.readouterr().out
         assert "all invariants held" in out
+        assert "events_applied: 4" in out  # 2 faults + 2 recoveries
 
-    def test_rejects_bad_queries(self, fig1_file, capsys):
-        assert main([
-            "cluster", "bench", fig1_file, "--queries", "0",
-        ]) == 1
-        assert "--queries" in capsys.readouterr().err
+    def test_rejects_empty_tier(self, fig1_file, capsys):
+        assert main(["chaos", fig1_file, "--cluster", "--shards", "0"]) == 1
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestServe:
-    def test_serve_bench_round_trip_over_uds(self, fig1_file, capsys):
-        assert main([
-            "serve", fig1_file, "--uds", "", "--bench", "--requests", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "0 mismatch(es) vs in-process router" in out
-        assert "all-pairs over the wire" in out
-
-    def test_serve_bench_over_tcp(self, fig1_file, capsys):
-        assert main([
-            "serve", fig1_file, "--host", "127.0.0.1", "--port", "0",
-            "--bench", "--requests", "3", "--workers", "1",
-        ]) == 0
-        assert "0 mismatch(es)" in capsys.readouterr().out
-
     def test_rejects_bad_ip(self, fig1_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", fig1_file, "--host", "not-an-ip"])
@@ -339,11 +280,11 @@ class TestServe:
             assert excinfo.value.code == 2
 
     def test_rejects_zero_workers(self, fig1_file, capsys):
-        assert main(["serve", fig1_file, "--workers", "0", "--bench"]) == 1
+        assert main(["serve", fig1_file, "--workers", "0"]) == 1
         assert "--workers" in capsys.readouterr().err
 
     def test_serve_missing_file(self, capsys):
-        assert main(["serve", "/nonexistent.json", "--bench"]) == 1
+        assert main(["serve", "/nonexistent.json"]) == 1
 
 
 class TestServerOracleFlag:

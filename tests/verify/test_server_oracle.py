@@ -26,7 +26,7 @@ FAST = default_oracles(parallel_workers=0)
 
 @pytest.fixture
 def manager():
-    mgr = ServerOracleManager(workers=1)
+    mgr = ServerOracleManager()
     yield mgr
     mgr.close()
 
@@ -58,7 +58,7 @@ def test_harness_run_with_live_server_agrees(manager):
 
 
 def test_prepare_routes_match_local_router_after_churn():
-    mgr = ServerOracleManager(workers=1, churn=True)
+    mgr = ServerOracleManager()
     try:
         scenario = random_scenario(5)
         route = mgr.prepare(scenario.network)
@@ -70,23 +70,6 @@ def test_prepare_routes_match_local_router_after_churn():
             except Exception:
                 expected = None
             assert got == expected, (source, target)
-    finally:
-        mgr.close()
-
-
-def test_prepare_without_churn_skips_patches():
-    mgr = ServerOracleManager(workers=1, churn=False)
-    try:
-        scenario = random_scenario(2)
-        route = mgr.prepare(scenario.network)
-        assert mgr.scenarios == 1
-        source, target = scenario.queries[0]
-        local = LiangShenRouter(scenario.network, heap="flat")
-        try:
-            expected = local.route(source, target).path
-        except Exception:
-            expected = None
-        assert route(source, target) == expected
     finally:
         mgr.close()
 
