@@ -61,7 +61,7 @@ EXIT_OK = 0  #: success
 EXIT_ERROR = 1  #: usage error, missing file, or no route found
 EXIT_BOUNDS = 2  #: `sizes`: an auxiliary-graph size exceeds its paper bound
 EXIT_REJECTED = 3  #: `plan`: some demands could not be carried
-EXIT_DISAGREEMENT = 4  #: `verify`/`fuzz`: differential oracles disagreed
+EXIT_DISAGREEMENT = 4  #: `verify`/`fuzz`/`multicast`: disagreement or failed corpus case
 EXIT_VIOLATION = 5  #: `chaos`: a soak invariant was violated
 
 
@@ -256,24 +256,32 @@ def _audit_segments(before: set[str]) -> int:
     return EXIT_OK
 
 
+def _replay(corpus: str, harness) -> tuple[int, int]:
+    """Replay *corpus* through *harness*, printing each failing case.
+    Returns ``(cases replayed, cases failed)``."""
+    from repro.verify import replay_corpus
+
+    results = replay_corpus(corpus, harness)
+    failures = 0
+    for case, report in results:
+        if not report.ok:
+            failures += 1
+            print(f"corpus case {case.name} FAILED:")
+            print(report.format())
+    return len(results), failures
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.shortestpath.shared import leaked_segments
-    from repro.verify import DifferentialHarness, random_scenario, replay_corpus
+    from repro.verify import DifferentialHarness, random_scenario
     from repro.verify.scenarios import ScenarioLimits
 
     segments_before = set(leaked_segments())
     oracles, manager = _oracle_matrix(args)
     harness = DifferentialHarness(oracles)
-    failures = 0
-    replayed = 0
     checked = 0
     try:
-        for case, report in replay_corpus(args.corpus, harness):
-            replayed += 1
-            if not report.ok:
-                failures += 1
-                print(f"corpus case {case.name} FAILED:")
-                print(report.format())
+        replayed, failures = _replay(args.corpus, harness)
         limits = ScenarioLimits(max_nodes=args.max_nodes)
         for index in range(args.scenarios):
             report = harness.run(
@@ -297,9 +305,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return leak_status
 
 
+def _persist_failure(run, report, corpus: str, shrink: bool = True):
+    """Print a failing *report*, shrink its scenario while ``run`` still
+    fails it, and save the result to *corpus*.  Returns ``(scenario,
+    path)``.  Shared by ``fuzz`` and both ``multicast`` checking modes."""
+    from repro.verify import save_case, shrink_scenario
+
+    print()
+    print(report.format())
+    scenario = report.scenario
+    if shrink:
+        scenario = shrink_scenario(scenario, lambda s: not run(s).ok)
+        print(f"shrunk to {scenario!r}")
+    disagreements = [d.summary() for d in run(scenario).disagreements]
+    path = save_case(corpus, scenario, disagreements)
+    print(f"persisted to {path}")
+    return scenario, path
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.shortestpath.shared import leaked_segments
-    from repro.verify import DifferentialHarness, save_case, shrink_scenario
+    from repro.verify import DifferentialHarness, fuzz, random_scenario
     from repro.verify.scenarios import ScenarioLimits
 
     if args.seconds <= 0:
@@ -310,8 +336,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     harness = DifferentialHarness(oracles)
     limits = ScenarioLimits(max_nodes=args.max_nodes)
     try:
-        result = harness.fuzz(
-            seconds=args.seconds, seed=args.seed, limits=limits
+        result = fuzz(
+            harness.run,
+            lambda seed: random_scenario(seed, limits=limits),
+            seconds=args.seconds,
+            seed=args.seed,
         )
         matrix = (
             f"{len(harness.oracles)} oracles (incl. liang:server)"
@@ -319,25 +348,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             else f"{len(harness.oracles)} oracles"
         )
         print(
-            f"fuzz: {result.scenarios_run} scenario(s), {result.queries_checked} "
+            f"fuzz: {result.scenarios_run} scenario(s), "
+            f"{result.counters['queries_checked']} "
             f"queries through {matrix} in "
             f"{result.elapsed:.1f}s (seed {result.seed}); "
             f"{len(result.failures)} failure(s)"
         )
         for report in result.failures:
-            print()
-            print(report.format())
-            scenario = report.scenario
-            if not args.no_shrink:
-                scenario = shrink_scenario(
-                    scenario, lambda s: not harness.run(s).ok
-                )
-                print(f"shrunk to {scenario!r}")
-            disagreements = [
-                d.summary() for d in harness.run(scenario).disagreements
-            ]
-            path = save_case(args.corpus, scenario, disagreements)
-            print(f"persisted to {path}")
+            _persist_failure(
+                harness.run, report, args.corpus, shrink=not args.no_shrink
+            )
     finally:
         if manager is not None:
             manager.close()
@@ -526,8 +546,6 @@ def _cmd_multicast(args: argparse.Namespace) -> int:
         MulticastRequest,
         MulticastRouter,
         random_multicast_scenario,
-        save_multicast_case,
-        shrink_multicast_scenario,
     )
 
     # One-shot route mode: a network file plus --source/--member.
@@ -634,8 +652,7 @@ def _cmd_multicast(args: argparse.Namespace) -> int:
         missed = routed_scenarios = 0
         persisted = None
         for index in range(args.scenarios):
-            scenario = random_multicast_scenario(args.seed + index)
-            report = harness.run(scenario)
+            report = harness.run(random_multicast_scenario(args.seed + index))
             if not report.routed:
                 continue
             routed_scenarios += 1
@@ -643,21 +660,13 @@ def _cmd_multicast(args: argparse.Namespace) -> int:
                 missed += 1
                 print(f"seed {args.seed + index}: bug went undetected")
             elif persisted is None:
-                shrunk = shrink_multicast_scenario(
-                    scenario, lambda s: not harness.run(s).ok
+                shrunk, persisted = _persist_failure(
+                    harness.run, report, args.corpus
                 )
-                disagreements = tuple(
-                    d.summary() for d in harness.run(shrunk).disagreements
-                )
-                persisted = save_multicast_case(args.corpus, shrunk, disagreements)
                 members = max(
                     (len(r.members) for r in shrunk.requests), default=0
                 )
-                print(
-                    f"shrunk to {shrunk.network.num_nodes} node(s), "
-                    f"{len(shrunk.requests)} request(s), minimal member "
-                    f"set of {members}; persisted to {persisted}"
-                )
+                print(f"minimal member set of {members}")
         if missed == 0 and routed_scenarios and persisted is not None:
             print(
                 f"multicast self-test: injected cost bug caught on all "
@@ -670,32 +679,35 @@ def _cmd_multicast(args: argparse.Namespace) -> int:
         )
         return EXIT_ERROR
 
-    # Default: time-budgeted fuzz of the heuristic against the exact
-    # small-instance oracle plus the hierarchy certificate.
+    # Default: replay the corpus, then a time-budgeted fuzz of the
+    # heuristic against the exact small-instance oracle plus the
+    # hierarchy certificate.
+    from repro.verify import fuzz
+
     harness = MulticastHarness()
-    result = harness.fuzz(seconds=args.seconds, seed=args.seed)
+    replayed, replay_failures = _replay(args.corpus, harness)
+    result = fuzz(
+        harness.run,
+        random_multicast_scenario,
+        seconds=args.seconds,
+        seed=args.seed,
+    )
+    counters = result.counters
     print(
-        f"multicast fuzz: {result.scenarios_run} scenario(s), "
-        f"{result.requests_checked} request(s) "
-        f"({result.oracle_checked} oracle-compared, {result.blocked} "
-        f"heuristic-blocked) in {result.elapsed:.1f}s (seed {result.seed}); "
-        f"{len(result.failures)} failure(s)"
+        f"multicast fuzz: {replayed} corpus case(s) replayed "
+        f"({replay_failures} failed); {result.scenarios_run} scenario(s), "
+        f"{counters['requests_checked']} request(s) "
+        f"({counters['oracle_checked']} oracle-compared, "
+        f"{counters['blocked']} heuristic-blocked) in {result.elapsed:.1f}s "
+        f"(seed {result.seed}); {len(result.failures)} failure(s)"
     )
     for report in result.failures:
-        print()
-        print(report.format())
-        scenario = report.scenario
-        if not args.no_shrink:
-            scenario = shrink_multicast_scenario(
-                scenario, lambda s: not harness.run(s).ok
-            )
-            print(f"shrunk to {scenario!r}")
-        disagreements = tuple(
-            d.summary() for d in harness.run(scenario).disagreements
+        _persist_failure(
+            harness.run, report, args.corpus, shrink=not args.no_shrink
         )
-        path = save_multicast_case(args.corpus, scenario, disagreements)
-        print(f"persisted to {path}")
-    return EXIT_OK if result.ok else EXIT_DISAGREEMENT
+    if replay_failures or not result.ok:
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -998,7 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument(
         "--corpus", default="tests/multicast/corpus",
-        help="where shrunk counterexamples are written",
+        help="corpus replayed before fuzzing, and where shrunk "
+        "counterexamples are written",
     )
     p_mc.add_argument(
         "--no-shrink", action="store_true",

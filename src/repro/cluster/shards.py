@@ -45,8 +45,6 @@ class ShardManager:
         sharded tier with no gossip.
     workers:
         Worker processes per replica server.
-    debug / request_timeout / drain_timeout:
-        Forwarded to every :class:`RouterServer`.
     vnodes:
         Virtual nodes per shard on the placement ring.
 
@@ -61,9 +59,6 @@ class ShardManager:
         shards: int = 2,
         replicas: int = 2,
         workers: int = 1,
-        debug: bool = False,
-        request_timeout: float = 120.0,
-        drain_timeout: float = 2.0,
         vnodes: int = 64,
     ) -> None:
         if shards < 1:
@@ -73,12 +68,7 @@ class ShardManager:
         self._network = network
         self.num_shards = shards
         self.num_replicas = replicas
-        self._server_kwargs = {
-            "workers": workers,
-            "debug": debug,
-            "request_timeout": request_timeout,
-            "drain_timeout": drain_timeout,
-        }
+        self._workers = workers
         self.ring = HashRing(range(shards), vnodes=vnodes)
         #: ``servers[shard][replica]`` once started.
         self._servers: list[list[RouterServer]] = []
@@ -97,7 +87,7 @@ class ShardManager:
                 row = []
                 for _replica in range(self.num_replicas):
                     server = RouterServer(
-                        self._network, uds="", **self._server_kwargs
+                        self._network, uds="", workers=self._workers
                     )
                     server.start()
                     row.append(server)

@@ -15,8 +15,10 @@ Package layout:
   heuristic over auxiliary-graph distances;
 * :mod:`~repro.multicast.oracle` — exact Dreyfus–Wagner reference for
   small instances;
-* :mod:`~repro.multicast.verify` — differential harness, scenario
-  generation, corpus, and member-set-minimizing shrinker;
+* :mod:`~repro.multicast.verify` — the multicast scenario kind and its
+  differential harness; :mod:`repro.verify` fuzzes, shrinks (member
+  sets and splitters right after the request pass, then the shared
+  network passes) and persists it (``mcase-*.json``);
 * :mod:`~repro.multicast.churn` — chaos soak under fault + member churn.
 """
 
@@ -35,15 +37,10 @@ from repro.multicast.router import MulticastRouteResult, MulticastRouter
 from repro.multicast.splitters import CAPABILITIES, MC, MI, TAC, SplitterMap
 from repro.multicast.verify import (
     MulticastDisagreement,
-    MulticastFuzzResult,
     MulticastHarness,
     MulticastScenario,
     MulticastScenarioReport,
-    iter_multicast_corpus,
-    load_multicast_case,
     random_multicast_scenario,
-    save_multicast_case,
-    shrink_multicast_scenario,
 )
 
 __all__ = [
@@ -62,13 +59,8 @@ __all__ = [
     "MulticastScenario",
     "MulticastScenarioReport",
     "MulticastDisagreement",
-    "MulticastFuzzResult",
     "MulticastHarness",
     "random_multicast_scenario",
-    "shrink_multicast_scenario",
-    "save_multicast_case",
-    "load_multicast_case",
-    "iter_multicast_corpus",
     "ChurnViolation",
     "MulticastChurnReport",
     "MulticastChurnSoak",

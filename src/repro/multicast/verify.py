@@ -1,11 +1,16 @@
 """Differential verification for light-hierarchy multicast routing.
 
-The multicast analog of :mod:`repro.verify.harness`: seeded random
-scenarios (network + splitter map + member sets), a harness that checks
-the heuristic joiner against the exact channel-graph oracle and the
-router-independent certificate, and a delta-debugging shrinker whose
-extra passes minimize *member sets* — the knob unicast shrinking does not
-have.
+The multicast scenario kind for :mod:`repro.verify`: seeded random
+scenarios (network + splitter map + member sets), and a harness that
+checks the heuristic joiner against the exact channel-graph oracle and
+the router-independent certificate.  Everything else is the unicast
+toolkit's: :func:`repro.verify.fuzz` drives the loop,
+:func:`repro.verify.shrink_scenario` shrinks a failure through the
+:class:`~repro.verify.shrink.Shrinkable` protocol below, and
+:mod:`repro.verify.corpus` persists it as ``mcase-*.json``.  The two
+passes only multicast has — member sets, then splitters — run right after
+the request pass; the node, link, wavelength, universe and simplify
+passes follow.
 
 Disagreement semantics (see :mod:`repro.multicast.oracle` for why these
 are exactly the provable-bug set):
@@ -28,13 +33,10 @@ honest without failing CI on known heuristic limits.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any, Callable, Hashable
 
 from repro.io.serialization import network_from_json, network_to_json
@@ -46,21 +48,15 @@ from repro.multicast.splitters import MC, SplitterMap
 from repro.verify.certificate import check_hierarchy_certificate, costs_close
 from repro.verify.oracles import SMALL_STATE_LIMIT
 from repro.verify.scenarios import ScenarioLimits, random_scenario
-from repro.verify.shrink import rebuild_network
 
 __all__ = [
     "MulticastScenario",
     "MulticastDisagreement",
     "MulticastScenarioReport",
-    "MulticastFuzzResult",
     "MulticastHarness",
     "random_multicast_scenario",
     "multicast_scenario_to_dict",
     "multicast_scenario_from_dict",
-    "shrink_multicast_scenario",
-    "save_multicast_case",
-    "load_multicast_case",
-    "iter_multicast_corpus",
 ]
 
 NodeId = Hashable
@@ -90,13 +86,37 @@ class MulticastScenario:
                 if not self.network.has_node(member):
                     raise ValueError(f"member off the network: {member!r}")
 
-    def with_requests(
+    # -- the repro.verify.shrink.Shrinkable protocol -------------------------
+
+    @property
+    def items(self) -> tuple[MulticastRequest, ...]:
+        return self.requests
+
+    def with_items(
         self, requests: tuple[MulticastRequest, ...]
     ) -> "MulticastScenario":
         return replace(self, requests=requests)
 
-    def with_network(self, network) -> "MulticastScenario":
-        return replace(self, network=network)
+    def pinned_nodes(self) -> set[NodeId]:
+        return {
+            node
+            for request in self.requests
+            for node in (request.source, *request.members)
+        }
+
+    def size(self) -> tuple[int, ...]:
+        return (
+            len(self.requests),
+            sum(len(r.members) for r in self.requests),
+            sum(
+                1
+                for node in self.network.nodes()
+                if self.splitters.capability(node) != MC
+            ),
+        )
+
+    def shrink_passes(self) -> tuple:
+        return (_shrink_members, _simplify_splitters)
 
     def __repr__(self) -> str:
         return (
@@ -135,6 +155,15 @@ class MulticastScenarioReport:
     def ok(self) -> bool:
         return not self.disagreements
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """What :func:`repro.verify.fuzz` sums across reports."""
+        return {
+            "requests_checked": self.requests_checked,
+            "oracle_checked": self.oracle_checked,
+            "blocked": self.blocked,
+        }
+
     def format(self) -> str:
         lines = [
             f"multicast scenario seed={self.scenario.seed!r} "
@@ -152,23 +181,6 @@ class MulticastScenarioReport:
         return "\n".join(lines)
 
 
-@dataclass
-class MulticastFuzzResult:
-    """Aggregate outcome of one :meth:`MulticastHarness.fuzz` run."""
-
-    scenarios_run: int
-    requests_checked: int
-    oracle_checked: int
-    blocked: int
-    failures: list[MulticastScenarioReport]
-    elapsed: float
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 class MulticastHarness:
     """Check the joiner against the exact oracle and the certificate.
 
@@ -177,6 +189,10 @@ class MulticastHarness:
     value *must* produce certificate disagreements — this is how the CLI
     proves the multicast pipeline can catch a mispricing bug end to end.
     """
+
+    #: The scenario kind :meth:`run` takes (see
+    #: :func:`~repro.verify.corpus.replay_corpus`).
+    scenario_type = MulticastScenario
 
     def __init__(self, cost_perturbation: float = 0.0) -> None:
         self.cost_perturbation = cost_perturbation
@@ -269,55 +285,6 @@ class MulticastHarness:
                 )
         return report
 
-    def fuzz(
-        self,
-        seconds: float,
-        seed: int = 0,
-        limits: ScenarioLimits = ScenarioLimits(),
-        max_failures: int = 10,
-        on_scenario: Callable[[MulticastScenarioReport], None] | None = None,
-    ) -> MulticastFuzzResult:
-        """Generate-and-check scenarios until the time budget runs out.
-
-        Mirrors :meth:`~repro.verify.harness.DifferentialHarness.fuzz`:
-        at least one scenario always runs, per-scenario seeds derive
-        deterministically from the base seed, and the loop stops early
-        after *max_failures* failing scenarios.
-        """
-        if seconds <= 0:
-            raise ValueError(f"seconds must be > 0, got {seconds}")
-        rng = random.Random(seed)
-        deadline = time.monotonic() + seconds
-        scenarios_run = 0
-        requests_checked = 0
-        oracle_checked = 0
-        blocked = 0
-        failures: list[MulticastScenarioReport] = []
-        while scenarios_run == 0 or (
-            time.monotonic() < deadline and len(failures) < max_failures
-        ):
-            scenario_seed = rng.randrange(2**63)
-            report = self.run(
-                random_multicast_scenario(scenario_seed, limits=limits)
-            )
-            scenarios_run += 1
-            requests_checked += report.requests_checked
-            oracle_checked += report.oracle_checked
-            blocked += report.blocked
-            if not report.ok:
-                failures.append(report)
-            if on_scenario is not None:
-                on_scenario(report)
-        return MulticastFuzzResult(
-            scenarios_run=scenarios_run,
-            requests_checked=requests_checked,
-            oracle_checked=oracle_checked,
-            blocked=blocked,
-            failures=failures,
-            elapsed=seconds - max(0.0, deadline - time.monotonic()),
-            seed=seed,
-        )
-
 
 # -- scenario generation ------------------------------------------------------
 
@@ -406,84 +373,9 @@ def multicast_scenario_from_dict(document: dict[str, Any]) -> MulticastScenario:
     )
 
 
-def save_multicast_case(
-    directory: Path | str,
-    scenario: MulticastScenario,
-    disagreements: tuple[str, ...] = (),
-) -> Path:
-    """Persist a shrunk counterexample, content-addressed like the unicast
-    corpus (``mcase-<sha1 prefix>.json``)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    document = multicast_scenario_to_dict(scenario)
-    document["disagreements"] = list(disagreements)
-    canonical = json.dumps(multicast_scenario_to_dict(scenario), sort_keys=True)
-    digest = hashlib.sha1(canonical.encode()).hexdigest()[:12]
-    path = directory / f"mcase-{digest}.json"
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_multicast_case(path: Path | str) -> MulticastScenario:
-    return multicast_scenario_from_dict(json.loads(Path(path).read_text()))
-
-
-def iter_multicast_corpus(directory: Path | str) -> list[MulticastScenario]:
-    """Load every multicast case in *directory* (missing dir == empty)."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    return [
-        load_multicast_case(path)
-        for path in sorted(directory.glob("mcase-*.json"))
-    ]
-
-
-# -- shrinking ----------------------------------------------------------------
+# -- multicast-only shrink passes ---------------------------------------------
 
 FailsFn = Callable[[MulticastScenario], bool]
-
-
-def _surviving_requests(
-    scenario: MulticastScenario, network
-) -> tuple[MulticastRequest, ...]:
-    out = []
-    for request in scenario.requests:
-        if not network.has_node(request.source):
-            continue
-        members = tuple(m for m in request.members if network.has_node(m))
-        if members:
-            out.append(MulticastRequest(source=request.source, members=members))
-    return tuple(out)
-
-
-def _network_candidate(scenario: MulticastScenario, network) -> MulticastScenario:
-    return replace(
-        scenario,
-        network=network,
-        requests=_surviving_requests(scenario, network),
-    )
-
-
-def _shrink_requests(scenario: MulticastScenario, fails: FailsFn) -> MulticastScenario:
-    if len(scenario.requests) > 1:
-        for request in scenario.requests:
-            candidate = scenario.with_requests((request,))
-            if fails(candidate):
-                scenario = candidate
-                break
-    requests = list(scenario.requests)
-    index = 0
-    while index < len(requests) and len(requests) > 1:
-        candidate = scenario.with_requests(
-            tuple(requests[:index] + requests[index + 1 :])
-        )
-        if fails(candidate):
-            del requests[index]
-            scenario = candidate
-        else:
-            index += 1
-    return scenario
 
 
 def _shrink_members(scenario: MulticastScenario, fails: FailsFn) -> MulticastScenario:
@@ -502,64 +394,13 @@ def _shrink_members(scenario: MulticastScenario, fails: FailsFn) -> MulticastSce
             )
             requests = list(scenario.requests)
             requests[i] = reduced
-            candidate = scenario.with_requests(tuple(requests))
+            candidate = scenario.with_items(tuple(requests))
             if fails(candidate):
                 del members[j]
                 scenario = candidate
                 request = reduced
             else:
                 j += 1
-    return scenario
-
-
-def _shrink_nodes(scenario: MulticastScenario, fails: FailsFn) -> MulticastScenario:
-    pinned = {
-        node
-        for request in scenario.requests
-        for node in (request.source, *request.members)
-    }
-    for node in scenario.network.nodes():
-        if node in pinned:
-            continue
-        keep = set(scenario.network.nodes()) - {node}
-        candidate = _network_candidate(
-            scenario, rebuild_network(scenario.network, keep_nodes=keep)
-        )
-        if candidate.requests and fails(candidate):
-            scenario = candidate
-    return scenario
-
-
-def _shrink_links(scenario: MulticastScenario, fails: FailsFn) -> MulticastScenario:
-    for link in list(scenario.network.links()):
-        def drop(tail, head, costs, _link=link):
-            if (tail, head) == (_link.tail, _link.head):
-                return None
-            return costs
-
-        candidate = _network_candidate(
-            scenario, rebuild_network(scenario.network, link_costs=drop)
-        )
-        if candidate.requests and fails(candidate):
-            scenario = candidate
-    return scenario
-
-
-def _shrink_wavelength_entries(
-    scenario: MulticastScenario, fails: FailsFn
-) -> MulticastScenario:
-    for link in list(scenario.network.links()):
-        for wavelength in sorted(link.costs):
-            def drop_entry(tail, head, costs, _link=link, _w=wavelength):
-                if (tail, head) == (_link.tail, _link.head):
-                    return {w: c for w, c in costs.items() if w != _w}
-                return costs
-
-            candidate = _network_candidate(
-                scenario, rebuild_network(scenario.network, link_costs=drop_entry)
-            )
-            if candidate.requests and fails(candidate):
-                scenario = candidate
     return scenario
 
 
@@ -579,53 +420,4 @@ def _simplify_splitters(
         candidate = replace(scenario, splitters=SplitterMap(table))
         if fails(candidate):
             scenario = candidate
-    return scenario
-
-
-_MULTICAST_PASSES = (
-    _shrink_requests,
-    _shrink_members,
-    _shrink_nodes,
-    _shrink_links,
-    _shrink_wavelength_entries,
-    _simplify_splitters,
-)
-
-
-def _size(scenario: MulticastScenario) -> tuple[int, ...]:
-    network = scenario.network
-    return (
-        network.num_nodes,
-        network.num_links,
-        network.total_link_wavelengths,
-        len(scenario.requests),
-        sum(len(r.members) for r in scenario.requests),
-        sum(
-            1
-            for node in network.nodes()
-            if scenario.splitters.capability(node) != MC
-        ),
-    )
-
-
-def shrink_multicast_scenario(
-    scenario: MulticastScenario, fails: FailsFn, max_rounds: int = 8
-) -> MulticastScenario:
-    """Reduce *scenario* to a locally minimal failing one.
-
-    Same contract as :func:`~repro.verify.shrink.shrink_scenario`; the
-    member pass guarantees the result's member sets are 1-minimal.
-    """
-    if not fails(scenario):
-        raise ValueError("refusing to shrink: the scenario does not fail")
-    for _ in range(max_rounds):
-        before = _size(scenario)
-        for reduction_pass in _MULTICAST_PASSES:
-            scenario = reduction_pass(scenario, fails)
-        if _size(scenario) == before:
-            break
-    if not scenario.description.endswith(" (shrunk)"):
-        scenario = replace(
-            scenario, description=scenario.description + " (shrunk)"
-        )
     return scenario

@@ -229,15 +229,6 @@ class EpochRouterCache:
         """The converter bank at *node* recovered."""
         self._queue(("converter_recover", node))
 
-    def mark_path_reserved(self, path: Semilightpath) -> None:
-        """Every channel a just-reserved path occupies was removed."""
-        self._queue(
-            *(
-                ("channel_fail", hop.tail, hop.head, hop.wavelength)
-                for hop in path.hops
-            )
-        )
-
     # -- refresh -------------------------------------------------------------
 
     def _try_patch_locked(self) -> bool:

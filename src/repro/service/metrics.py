@@ -85,31 +85,23 @@ class Gauge:
 class Histogram:
     """Distribution of observed values with percentile queries.
 
-    Two retention modes:
-
-    * ``window=N`` (default 2048) keeps a sorted window of the most
-      recent ``N`` observations (insertion via :func:`bisect.insort`,
-      eviction in arrival order) next to running ``count`` / ``total`` /
-      ``min`` / ``max`` over *all* observations — exact totals and
-      recent-window percentiles without unbounded memory.
-    * ``window=None`` retains **every** observation (appended O(1),
-      sorted lazily at query time), so tail quantiles like p999 over a
-      million-query load run are exact, not a window estimate.  Memory
-      is one float per observation; reach for this in bounded-lifetime
-      harnesses (load generators, soaks), not long-running services.
+    Keeps a sorted window of the most recent ``window`` observations
+    (insertion via :func:`bisect.insort`, eviction in arrival order) next
+    to running ``count`` / ``total`` / ``min`` / ``max`` over *all*
+    observations — exact totals and recent-window percentiles without
+    unbounded memory.
     """
 
-    __slots__ = ("_lock", "_window", "_sorted", "_arrivals", "_dirty",
+    __slots__ = ("_lock", "_window", "_sorted", "_arrivals",
                  "count", "total", "minimum", "maximum")
 
-    def __init__(self, window: int | None = 2048) -> None:
-        if window is not None and window < 1:
-            raise ValueError("window must be positive (or None for exact mode)")
+    def __init__(self, window: int = 2048) -> None:
+        if window < 1:
+            raise ValueError("window must be positive")
         self._lock = threading.Lock()
         self._window = window
         self._sorted: list[float] = []
         self._arrivals: deque[float] = deque()
-        self._dirty = False
         self.count = 0
         self.total = 0.0
         self.minimum = float("inf")
@@ -124,10 +116,6 @@ class Histogram:
             self.total += value
             self.minimum = min(self.minimum, value)
             self.maximum = max(self.maximum, value)
-            if self._window is None:
-                self._sorted.append(value)
-                self._dirty = True
-                return
             if len(self._arrivals) == self._window:
                 oldest = self._arrivals.popleft()
                 self._sorted.pop(bisect.bisect_left(self._sorted, oldest))
@@ -139,7 +127,6 @@ class Histogram:
         with self._lock:
             self._sorted.clear()
             self._arrivals.clear()
-            self._dirty = False
             self.count = 0
             self.total = 0.0
             self.minimum = float("inf")
@@ -158,9 +145,6 @@ class Histogram:
         """
         if not self._sorted:
             return 0.0
-        if self._dirty:
-            self._sorted.sort()
-            self._dirty = False
         rank = q / 100.0 * (len(self._sorted) - 1)
         lower = int(rank)
         upper = min(lower + 1, len(self._sorted) - 1)
@@ -170,28 +154,14 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (0 <= q <= 100, any float — 99.9 works).
 
-        Over the recent window in windowed mode, over every observation
-        in exact (``window=None``) mode.  Returns 0.0 when nothing has
-        been observed (the natural reading for latency metrics of an
-        idle service).
+        Over the recent window.  Returns 0.0 when nothing has been
+        observed (the natural reading for latency metrics of an idle
+        service).
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
         with self._lock:
             return self._percentile_locked(q)
-
-    def percentiles(self, qs: "list[float] | tuple[float, ...]") -> dict[float, float]:
-        """Several percentiles under one lock acquisition.
-
-        All returned values describe the same instant — a concurrent
-        ``observe`` cannot land between the p50 and the p999 of one
-        report (the load harness reports exactly such triples).
-        """
-        for q in qs:
-            if not 0.0 <= q <= 100.0:
-                raise ValueError("percentile must be in [0, 100]")
-        with self._lock:
-            return {q: self._percentile_locked(q) for q in qs}
 
     def summary(self) -> dict[str, float]:
         """count / mean / min / max plus p50, p90, p99, p999.
@@ -243,10 +213,10 @@ class MetricsRegistry:
         with self._lock:
             return self._gauges.setdefault(name, Gauge())
 
-    def histogram(self, name: str, window: int | None = 2048) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             if name not in self._histograms:
-                self._histograms[name] = Histogram(window=window)
+                self._histograms[name] = Histogram()
             return self._histograms[name]
 
     def register_callback(self, name: str, fn: Callable[[], float]) -> None:

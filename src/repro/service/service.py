@@ -11,17 +11,12 @@ Static serving::
     service = RoutingService(network)
     path = service.route(s, t)
 
-On-line provisioning (the paper's motivating workload) hangs a service
-off a provisioner so admissions reuse cached trees::
-
-    prov = SemilightpathProvisioner(network)
-    prov.attach_service(workers=4)
-    conn = prov.establish(s, t)       # routed through the cache
-
-After each admission the provisioner notifies the service which channels
-were reserved; the cache masks them in its ``G_all`` and repairs the
-cached trees in place instead of rebuilding.  Releases invalidate fully
-— freed channels can improve arbitrary routes.
+The network may also be a zero-argument callable (a live view such as
+``SemilightpathProvisioner.residual_network``); the cache calls it on
+every rebuild.  Resource removals (``notify_link_degraded``,
+``notify_converter_degraded``) are masked in the cached ``G_all`` and
+the cached trees repaired in place, recoveries are unmasked in place,
+and any other change goes through :meth:`RoutingService.invalidate`.
 
 Degraded-mode serving
 ---------------------
@@ -305,15 +300,6 @@ class RoutingService:
 
     def invalidate(self) -> None:
         """Full invalidation — the network changed in an unknown way."""
-        self.cache.invalidate()
-
-    def notify_reserved(self, path: Semilightpath) -> None:
-        """Channels along *path* were reserved (resources removed)."""
-        self.cache.mark_path_reserved(path)
-
-    def notify_released(self, path: Semilightpath) -> None:
-        """Channels along *path* were released (resources added back)."""
-        del path  # which channels improved does not help: invalidate fully
         self.cache.invalidate()
 
     def notify_link_degraded(

@@ -13,14 +13,24 @@ This package turns that redundancy into an always-on differential harness:
 * :mod:`repro.verify.oracles` — the oracle matrix (every router backend
   wrapped behind one uniform interface);
 * :mod:`repro.verify.harness` — run a scenario through every applicable
-  oracle pair and diff costs, hop sequences, and assignments;
+  oracle pair and diff costs, hop sequences, and assignments; plus
+  :func:`fuzz`, the time-budgeted loop over seeded scenarios;
 * :mod:`repro.verify.shrink` — delta-debugging reduction of a failing
   scenario to a minimal counterexample;
 * :mod:`repro.verify.corpus` — the golden corpus of shrunk failures that
   CI replays.
 
-CLI entry points: ``repro verify`` (corpus replay + seeded sweep) and
-``repro fuzz --seconds N --seed S`` (time-budgeted fuzzing).
+The fuzz loop, the shrinker and the corpus are one toolkit for both
+scenario kinds: the multicast light-hierarchy scenarios of
+:mod:`repro.multicast.verify` plug in through their harness's ``run``,
+the :class:`~repro.verify.shrink.Shrinkable` protocol (which adds the
+member-set and splitter passes right after the request pass) and the
+``mcase-*.json`` corpus prefix.
+
+CLI entry points: ``repro verify`` (corpus replay + seeded sweep),
+``repro fuzz --seconds N --seed S`` (time-budgeted fuzzing) and
+``repro multicast --seconds N --seed S`` (multicast corpus replay +
+fuzzing).
 """
 
 from repro.verify.certificate import CertificateReport, check_certificate
@@ -36,6 +46,7 @@ from repro.verify.harness import (
     DifferentialHarness,
     FuzzResult,
     ScenarioReport,
+    fuzz,
 )
 from repro.verify.oracles import Oracle, default_oracles
 from repro.verify.scenarios import (
@@ -45,7 +56,7 @@ from repro.verify.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from repro.verify.shrink import shrink_scenario
+from repro.verify.shrink import Shrinkable, shrink_scenario
 
 __all__ = [
     "CertificateReport",
@@ -59,6 +70,7 @@ __all__ = [
     "DifferentialHarness",
     "FuzzResult",
     "ScenarioReport",
+    "fuzz",
     "Oracle",
     "default_oracles",
     "Scenario",
@@ -66,5 +78,6 @@ __all__ = [
     "random_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
+    "Shrinkable",
     "shrink_scenario",
 ]

@@ -16,28 +16,32 @@ diffs the answers:
   ``NoPathError``, which its adapter maps to ``None``) is itself a finding,
   never a harness abort.
 
-:meth:`DifferentialHarness.fuzz` drives a time-budgeted loop of seeded
-random scenarios; per-scenario seeds derive deterministically from the base
-seed, so any failure reproduces from ``(base seed, scenario index)`` alone.
+:func:`fuzz` drives a time-budgeted loop of seeded random scenarios
+through any harness's ``run`` — this one's, or
+:class:`~repro.multicast.verify.MulticastHarness`'s; per-scenario seeds
+derive deterministically from the base seed, so any failure reproduces
+from ``(base seed, scenario index)`` alone.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.semilightpath import Semilightpath
 from repro.verify.certificate import check_certificate, costs_close
 from repro.verify.oracles import Oracle, default_oracles
-from repro.verify.scenarios import Scenario, ScenarioLimits, random_scenario
+from repro.verify.scenarios import Scenario
 
 __all__ = [
     "Disagreement",
     "ScenarioReport",
     "FuzzResult",
     "DifferentialHarness",
+    "fuzz",
 ]
 
 NodeId = Hashable
@@ -71,6 +75,11 @@ class ScenarioReport:
     def ok(self) -> bool:
         return not self.disagreements
 
+    @property
+    def counters(self) -> dict[str, int]:
+        """What :func:`fuzz` sums across reports."""
+        return {"queries_checked": self.queries_checked}
+
     def format(self) -> str:
         lines = [
             f"scenario seed={self.scenario.seed!r} {self.scenario.description} "
@@ -88,11 +97,11 @@ class ScenarioReport:
 
 @dataclass
 class FuzzResult:
-    """Aggregate outcome of one :meth:`DifferentialHarness.fuzz` run."""
+    """Aggregate outcome of one :func:`fuzz` run (either scenario kind)."""
 
     scenarios_run: int
-    queries_checked: int
-    failures: list[ScenarioReport]
+    counters: dict[str, int]  # every report's ``counters``, summed
+    failures: list[Any]  # the failing reports
     elapsed: float
     seed: int
 
@@ -110,6 +119,10 @@ class DifferentialHarness:
         The matrix to run; defaults to :func:`~repro.verify.oracles.default_oracles`.
         Tests inject perturbed oracles here to validate the harness itself.
     """
+
+    #: The scenario kind :meth:`run` takes (see
+    #: :func:`~repro.verify.corpus.replay_corpus`).
+    scenario_type = Scenario
 
     def __init__(self, oracles: Sequence[Oracle] | None = None) -> None:
         self.oracles = tuple(oracles if oracles is not None else default_oracles())
@@ -243,44 +256,48 @@ class DifferentialHarness:
                     )
         return found
 
-    # -- time-budgeted fuzzing ------------------------------------------------
 
-    def fuzz(
-        self,
-        seconds: float,
-        seed: int = 0,
-        limits: ScenarioLimits = ScenarioLimits(),
-        max_failures: int = 10,
-        on_scenario: Callable[[ScenarioReport], None] | None = None,
-    ) -> FuzzResult:
-        """Generate-and-diff scenarios until the time budget runs out.
+def fuzz(
+    run: Callable[[Any], Any],
+    generate: Callable[[int], Any],
+    seconds: float,
+    seed: int = 0,
+    max_failures: int = 10,
+    on_scenario: Callable[[Any], None] | None = None,
+) -> FuzzResult:
+    """Generate-and-run scenarios until the time budget runs out.
 
-        At least one scenario always runs.  Stops early after
-        *max_failures* failing scenarios (each is expensive to shrink; a
-        systematic bug does not need hundreds of witnesses).
-        """
-        if seconds <= 0:
-            raise ValueError(f"seconds must be > 0, got {seconds}")
-        rng = random.Random(seed)
-        deadline = time.monotonic() + seconds
-        scenarios_run = 0
-        queries_checked = 0
-        failures: list[ScenarioReport] = []
-        while scenarios_run == 0 or (
-            time.monotonic() < deadline and len(failures) < max_failures
-        ):
-            scenario_seed = rng.randrange(2**63)
-            report = self.run(random_scenario(scenario_seed, limits=limits))
-            scenarios_run += 1
-            queries_checked += report.queries_checked
-            if not report.ok:
-                failures.append(report)
-            if on_scenario is not None:
-                on_scenario(report)
-        return FuzzResult(
-            scenarios_run=scenarios_run,
-            queries_checked=queries_checked,
-            failures=failures,
-            elapsed=seconds - max(0.0, deadline - time.monotonic()),
-            seed=seed,
-        )
+    *generate* draws one scenario from a per-scenario seed (e.g.
+    :func:`~repro.verify.scenarios.random_scenario`); *run* checks it and
+    returns a report with ``ok`` and ``counters`` (e.g.
+    :meth:`DifferentialHarness.run`).  At least one scenario always runs.
+    Stops early after *max_failures* failing scenarios (each is expensive
+    to shrink; a systematic bug does not need hundreds of witnesses).
+    ``elapsed`` is measured from the loop's start, so a scenario that
+    overruns the budget is counted in full.
+    """
+    if seconds <= 0:
+        raise ValueError(f"seconds must be > 0, got {seconds}")
+    rng = random.Random(seed)
+    started = time.monotonic()
+    deadline = started + seconds
+    scenarios_run = 0
+    counters: Counter[str] = Counter()
+    failures: list[Any] = []
+    while scenarios_run == 0 or (
+        time.monotonic() < deadline and len(failures) < max_failures
+    ):
+        report = run(generate(rng.randrange(2**63)))
+        scenarios_run += 1
+        counters.update(report.counters)
+        if not report.ok:
+            failures.append(report)
+        if on_scenario is not None:
+            on_scenario(report)
+    return FuzzResult(
+        scenarios_run=scenarios_run,
+        counters=dict(counters),
+        failures=failures,
+        elapsed=time.monotonic() - started,
+        seed=seed,
+    )

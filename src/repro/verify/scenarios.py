@@ -93,11 +93,23 @@ class Scenario:
         """True when every conversion model is safe for CFZ comparison."""
         return network_is_chain_free(self.network)
 
-    def with_queries(self, queries: tuple[tuple[NodeId, NodeId], ...]) -> "Scenario":
+    # -- the repro.verify.shrink.Shrinkable protocol -------------------------
+
+    @property
+    def items(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        return self.queries
+
+    def with_items(self, queries: tuple[tuple[NodeId, NodeId], ...]) -> "Scenario":
         return replace(self, queries=queries)
 
-    def with_network(self, network: WDMNetwork) -> "Scenario":
-        return replace(self, network=network)
+    def pinned_nodes(self) -> set[NodeId]:
+        return {node for query in self.queries for node in query}
+
+    def size(self) -> tuple[int, ...]:
+        return (len(self.queries),)
+
+    def shrink_passes(self) -> tuple:
+        return ()
 
     def __repr__(self) -> str:
         return (

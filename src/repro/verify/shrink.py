@@ -5,12 +5,17 @@ harness found a disagreement"), :func:`shrink_scenario` greedily removes
 structure while the failure persists, cycling through reduction passes
 until a fixed point:
 
-1. **queries** — keep a single still-failing query when one suffices;
-2. **nodes** — drop each node (with its incident links) in turn;
-3. **links** — drop each directed link in turn;
-4. **wavelengths** — drop each per-link wavelength entry in turn;
-5. **universe** — cut ``k`` down to the largest wavelength still used;
-6. **simplify** — try unit link costs, then a flat 0.5-cost converter
+1. **items** — keep a single still-failing query (unicast) or request
+   (multicast) when one suffices, else drop them one at a time;
+2. **kind-specific passes** — the scenario type's own
+   :meth:`~Shrinkable.shrink_passes`: none for unicast; member sets, then
+   splitters, for multicast (:mod:`repro.multicast.verify`);
+3. **nodes** — drop each node the items do not name (with its incident
+   links) in turn;
+4. **links** — drop each directed link in turn;
+5. **wavelengths** — drop each per-link wavelength entry in turn;
+6. **universe** — cut ``k`` down to the largest wavelength still used;
+7. **simplify** — try unit link costs, then a flat 0.5-cost converter
    everywhere (cosmetic passes that make the counterexample readable).
 
 Every candidate is validated by re-running the *caller's* predicate — the
@@ -23,16 +28,44 @@ this stays comfortably sub-second per reduction step.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping, Protocol, TypeVar
 
 from repro.core.conversion import ConversionModel, FixedCostConversion
 from repro.core.network import WDMNetwork
-from repro.verify.scenarios import Scenario
 
-__all__ = ["shrink_scenario", "rebuild_network"]
+__all__ = ["Shrinkable", "shrink_scenario"]
 
 NodeId = Hashable
-FailsFn = Callable[[Scenario], bool]
+S = TypeVar("S", bound="Shrinkable")
+FailsFn = Callable[[Any], bool]
+
+
+class Shrinkable(Protocol):
+    """What :func:`shrink_scenario` needs from a scenario type.
+
+    Implementers are frozen dataclasses with ``network`` and
+    ``description`` fields (the network passes swap the network with
+    :func:`dataclasses.replace`), plus the members below.
+    """
+
+    network: WDMNetwork
+    description: str
+
+    @property
+    def items(self) -> tuple:
+        """The work items: queries (unicast) or requests (multicast)."""
+
+    def with_items(self: S, items: tuple) -> S:
+        """A copy holding only *items*."""
+
+    def pinned_nodes(self) -> set[NodeId]:
+        """Nodes the items name; the node pass never drops them."""
+
+    def size(self) -> tuple[int, ...]:
+        """Item-side measures; with the network's they detect the fixed point."""
+
+    def shrink_passes(self: S) -> tuple[Callable[[S, FailsFn], S], ...]:
+        """Kind-specific passes, run right after the items pass."""
 
 
 # -- surgical network edits ---------------------------------------------------
@@ -77,66 +110,51 @@ def _rebuild(
     return clone
 
 
-#: Public name for the surgical network-rebuild helper — the multicast
-#: shrinker (:mod:`repro.multicast.verify`) shares the same passes.
-rebuild_network = _rebuild
-
-
-def _surviving_queries(
-    scenario: Scenario, network: WDMNetwork
-) -> tuple[tuple[NodeId, NodeId], ...]:
-    return tuple(
-        (s, t)
-        for s, t in scenario.queries
-        if network.has_node(s) and network.has_node(t)
-    )
-
-
-def _candidate(scenario: Scenario, network: WDMNetwork) -> Scenario:
-    return replace(
-        scenario, network=network, queries=_surviving_queries(scenario, network)
-    )
+def _candidate(scenario: S, network: WDMNetwork) -> S:
+    """*scenario* on *network* (which keeps every pinned node)."""
+    return replace(scenario, network=network)
 
 
 # -- reduction passes ---------------------------------------------------------
 
 
-def _shrink_queries(scenario: Scenario, fails: FailsFn) -> Scenario:
-    if len(scenario.queries) <= 1:
+def _shrink_items(scenario: S, fails: FailsFn) -> S:
+    items = scenario.items
+    if len(items) <= 1:
         return scenario
-    for query in scenario.queries:
-        candidate = scenario.with_queries((query,))
+    for item in items:
+        candidate = scenario.with_items((item,))
         if fails(candidate):
             return candidate
-    # No single query reproduces (e.g. a stateful interaction); drop
-    # queries one at a time instead.
-    queries = list(scenario.queries)
+    # No single item reproduces (e.g. a stateful interaction); drop items
+    # one at a time instead.
+    remaining = list(items)
     index = 0
-    while index < len(queries) and len(queries) > 1:
-        candidate = scenario.with_queries(
-            tuple(queries[:index] + queries[index + 1 :])
+    while index < len(remaining) and len(remaining) > 1:
+        candidate = scenario.with_items(
+            tuple(remaining[:index] + remaining[index + 1 :])
         )
         if fails(candidate):
-            del queries[index]
+            del remaining[index]
             scenario = candidate
         else:
             index += 1
     return scenario
 
 
-def _shrink_nodes(scenario: Scenario, fails: FailsFn) -> Scenario:
-    pinned = {node for query in scenario.queries for node in query}
+def _shrink_nodes(scenario: S, fails: FailsFn) -> S:
+    pinned = scenario.pinned_nodes()
     for node in scenario.network.nodes():
         if node in pinned:
             continue
         keep = set(scenario.network.nodes()) - {node}
         candidate = _candidate(scenario, _rebuild(scenario.network, keep_nodes=keep))
-        if candidate.queries and fails(candidate):
+        if fails(candidate):
             scenario = candidate
     return scenario
 
 
-def _shrink_links(scenario: Scenario, fails: FailsFn) -> Scenario:
+def _shrink_links(scenario: S, fails: FailsFn) -> S:
     for link in list(scenario.network.links()):
         def drop(tail, head, costs, _link=link):
             if (tail, head) == (_link.tail, _link.head):
@@ -144,12 +162,12 @@ def _shrink_links(scenario: Scenario, fails: FailsFn) -> Scenario:
             return costs
 
         candidate = _candidate(scenario, _rebuild(scenario.network, link_costs=drop))
-        if candidate.queries and fails(candidate):
+        if fails(candidate):
             scenario = candidate
     return scenario
 
 
-def _shrink_wavelength_entries(scenario: Scenario, fails: FailsFn) -> Scenario:
+def _shrink_wavelength_entries(scenario: S, fails: FailsFn) -> S:
     for link in list(scenario.network.links()):
         for wavelength in sorted(link.costs):
             def drop_entry(tail, head, costs, _link=link, _w=wavelength):
@@ -165,7 +183,7 @@ def _shrink_wavelength_entries(scenario: Scenario, fails: FailsFn) -> Scenario:
     return scenario
 
 
-def _shrink_universe(scenario: Scenario, fails: FailsFn) -> Scenario:
+def _shrink_universe(scenario: S, fails: FailsFn) -> S:
     used = [w for link in scenario.network.links() for w in link.costs]
     k = max(used) + 1 if used else 1
     if k >= scenario.network.num_wavelengths:
@@ -176,7 +194,7 @@ def _shrink_universe(scenario: Scenario, fails: FailsFn) -> Scenario:
     return candidate if fails(candidate) else scenario
 
 
-def _simplify(scenario: Scenario, fails: FailsFn) -> Scenario:
+def _simplify(scenario: S, fails: FailsFn) -> S:
     unit = _candidate(
         scenario,
         _rebuild(scenario.network, link_costs=lambda t, h, costs: {w: 1.0 for w in costs}),
@@ -191,8 +209,7 @@ def _simplify(scenario: Scenario, fails: FailsFn) -> Scenario:
     return scenario
 
 
-_PASSES = (
-    _shrink_queries,
+_NETWORK_PASSES = (
     _shrink_nodes,
     _shrink_links,
     _shrink_wavelength_entries,
@@ -201,33 +218,35 @@ _PASSES = (
 )
 
 
-def _size(scenario: Scenario) -> tuple[int, int, int, int, int]:
+def _size(scenario: Shrinkable) -> tuple[int, ...]:
     network = scenario.network
     return (
         network.num_nodes,
         network.num_links,
         network.total_link_wavelengths,
         network.num_wavelengths,
-        len(scenario.queries),
+        *scenario.size(),
     )
 
 
-def shrink_scenario(
-    scenario: Scenario, fails: FailsFn, max_rounds: int = 8
-) -> Scenario:
+def shrink_scenario(scenario: S, fails: FailsFn, max_rounds: int = 8) -> S:
     """Reduce *scenario* to a (locally) minimal one on which *fails* holds.
 
-    *fails* must return True for *scenario* itself (raises ``ValueError``
-    otherwise — shrinking a passing scenario would silently return junk).
-    The result is 1-minimal with respect to the passes above: removing any
-    single remaining node, link, wavelength entry, or query makes the
-    failure disappear.
+    *scenario* is any :class:`Shrinkable` — a unicast
+    :class:`~repro.verify.scenarios.Scenario` or a
+    :class:`~repro.multicast.verify.MulticastScenario`.  *fails* must
+    return True for *scenario* itself (raises ``ValueError`` otherwise —
+    shrinking a passing scenario would silently return junk).  The result
+    is 1-minimal with respect to the passes above: removing any single
+    remaining node, link, wavelength entry, or item makes the failure
+    disappear.
     """
     if not fails(scenario):
         raise ValueError("refusing to shrink: the scenario does not fail")
+    passes = (_shrink_items, *scenario.shrink_passes(), *_NETWORK_PASSES)
     for _ in range(max_rounds):
         before = _size(scenario)
-        for reduction_pass in _PASSES:
+        for reduction_pass in passes:
             scenario = reduction_pass(scenario, fails)
         if _size(scenario) == before:
             break

@@ -24,7 +24,6 @@ from repro.wdm.state import WavelengthState
 if TYPE_CHECKING:  # pragma: no cover
     from repro.multicast.hierarchy import LightHierarchy
     from repro.multicast.splitters import SplitterMap
-    from repro.service.service import RoutingService
 
 __all__ = ["Connection", "MulticastConnection", "SemilightpathProvisioner"]
 
@@ -104,47 +103,11 @@ class SemilightpathProvisioner:
         self._ids = itertools.count(1)
         self._active: dict[int, Connection] = {}
         self._active_multicast: dict[int, MulticastConnection] = {}
-        self._service: "RoutingService | None" = None
 
     @property
     def num_active(self) -> int:
         """Number of currently admitted connections."""
         return len(self._active)
-
-    @property
-    def service(self) -> "RoutingService | None":
-        """The attached routing service, if any."""
-        return self._service
-
-    def attach_service(
-        self, service: "RoutingService | None" = None, **service_kwargs
-    ) -> "RoutingService":
-        """Route admissions through an epoch-cached :class:`RoutingService`.
-
-        Without arguments a service is built over this provisioner's
-        residual network (``workers=0`` by default — admissions already
-        run on the caller's thread); pass ``workers=N``/``queue_limit``
-        through *service_kwargs*, or hand in a pre-built *service* whose
-        network view is this provisioner's residual.
-
-        Once attached, :meth:`establish` serves routes from the cache and
-        notifies it after every reservation (the reserved channels are
-        masked in place and the cached trees repaired) and release (full
-        invalidation — freed channels can improve any route).
-        """
-        if service is None:
-            # Imported lazily: the service layer sits *above* wdm, and the
-            # provisioner must stay importable without it.
-            from repro.service.service import RoutingService
-
-            service_kwargs.setdefault("workers", 0)
-            service = RoutingService(self.residual_network, **service_kwargs)
-        self._service = service
-        return service
-
-    def detach_service(self) -> None:
-        """Go back to per-admission router construction."""
-        self._service = None
 
     def active_connections(self) -> list[Connection]:
         """Snapshot of live connections."""
@@ -212,24 +175,14 @@ class SemilightpathProvisioner:
         Raises :class:`~repro.exceptions.NoPathError` when the residual
         network cannot carry the request (the request is *blocked*).
         """
-        if self._service is not None:
-            path = self._service.route(source, target)
-        else:
-            residual = self.residual_network()
-            router = self._router_factory(residual)
-            path = router.route(source, target).path
+        residual = self.residual_network()
+        router = self._router_factory(residual)
+        path = router.route(source, target).path
         # Re-price the path on the full network (costs are identical — the
         # residual only removes channels — but the claimed total must refer
         # to the real network for auditability).
         path = Semilightpath(hops=path.hops, total_cost=path.evaluate_cost(self.network))
         self.state.reserve_path(path)
-        if self._service is not None:
-            if self.packing == "none":
-                self._service.notify_reserved(path)
-            else:
-                # Packing re-biases *every* residual cost after each
-                # admission, so per-channel degradation is not enough.
-                self._service.invalidate()
         connection = Connection(
             connection_id=next(self._ids),
             source=source,
@@ -247,11 +200,6 @@ class SemilightpathProvisioner:
         connection is tracked like any other.
         """
         self.state.reserve_path(path)
-        if self._service is not None:
-            if self.packing == "none":
-                self._service.notify_reserved(path)
-            else:
-                self._service.invalidate()
         connection = Connection(
             connection_id=next(self._ids),
             source=path.source,
@@ -269,8 +217,6 @@ class SemilightpathProvisioner:
             )
         self.state.release_path(connection.path)
         del self._active[connection.connection_id]
-        if self._service is not None:
-            self._service.notify_released(connection.path)
 
     def try_establish(self, source: NodeId, target: NodeId) -> Connection | None:
         """Like :meth:`establish` but returns None on blocking."""
@@ -336,14 +282,6 @@ class SemilightpathProvisioner:
         )
         channels = sorted(hierarchy.channel_keys(), key=repr)
         self.state.reserve_channels(channels)
-        if self._service is not None:
-            if self.packing == "none":
-                # Per-channel removal, patched in place (same rule as
-                # unicast).
-                for tail, head, wavelength in channels:
-                    self._service.notify_link_degraded(tail, head, wavelength)
-            else:
-                self._service.invalidate()
         connection = MulticastConnection(
             connection_id=next(self._ids),
             source=source,
@@ -363,9 +301,6 @@ class SemilightpathProvisioner:
             sorted(connection.hierarchy.channel_keys(), key=repr)
         )
         del self._active_multicast[connection.connection_id]
-        if self._service is not None:
-            # Freed channels can improve any cached route: full refresh.
-            self._service.invalidate()
 
     def try_establish_multicast(
         self,

@@ -1,4 +1,5 @@
-"""Tests for the multicast differential harness (repro.multicast.verify)."""
+"""Tests for the multicast differential harness (repro.multicast.verify),
+driven through the shared repro.verify fuzz loop, corpus and shrinker."""
 
 from __future__ import annotations
 
@@ -7,14 +8,11 @@ import pytest
 from repro.multicast.verify import (
     MulticastHarness,
     MulticastScenario,
-    iter_multicast_corpus,
-    load_multicast_case,
     multicast_scenario_from_dict,
     multicast_scenario_to_dict,
     random_multicast_scenario,
-    save_multicast_case,
-    shrink_multicast_scenario,
 )
+from repro.verify import fuzz, iter_corpus, load_case, save_case, shrink_scenario
 
 
 class TestHarness:
@@ -48,14 +46,20 @@ class TestHarness:
         assert seen_routed > 0
 
     def test_short_fuzz_runs_clean(self):
-        result = MulticastHarness().fuzz(seconds=1.0, seed=1998)
+        result = fuzz(
+            MulticastHarness().run, random_multicast_scenario,
+            seconds=1.0, seed=1998,
+        )
         assert result.ok
         assert result.scenarios_run >= 1
-        assert result.requests_checked >= result.scenarios_run >= 1
+        assert result.counters["requests_checked"] >= result.scenarios_run >= 1
+        assert set(result.counters) == {
+            "requests_checked", "oracle_checked", "blocked"
+        }
 
     def test_fuzz_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
-            MulticastHarness().fuzz(seconds=0.0)
+            fuzz(MulticastHarness().run, random_multicast_scenario, seconds=0.0)
 
 
 class TestSerialization:
@@ -79,28 +83,28 @@ class TestSerialization:
 
     def test_save_load_iter_corpus(self, tmp_path):
         scenario = random_multicast_scenario(5)
-        path = save_multicast_case(
-            tmp_path, scenario, disagreements=("[cost] demo",)
-        )
+        path = save_case(tmp_path, scenario, disagreements=("[cost] demo",))
         assert path.name.startswith("mcase-") and path.suffix == ".json"
-        loaded = load_multicast_case(path)
-        assert loaded.requests == scenario.requests
-        corpus = iter_multicast_corpus(tmp_path)
+        loaded = load_case(path)
+        assert isinstance(loaded.scenario, MulticastScenario)
+        assert loaded.scenario.requests == scenario.requests
+        assert loaded.disagreements == ("[cost] demo",)
+        corpus = iter_corpus(tmp_path)
         assert len(corpus) == 1
-        assert corpus[0].requests == scenario.requests
+        assert corpus[0].scenario.requests == scenario.requests
         # Content-addressed: saving the same scenario twice is idempotent.
-        assert save_multicast_case(tmp_path, scenario) == path
-        assert len(iter_multicast_corpus(tmp_path)) == 1
+        assert save_case(tmp_path, scenario) == path
+        assert len(iter_corpus(tmp_path)) == 1
 
     def test_missing_corpus_directory_is_empty(self, tmp_path):
-        assert iter_multicast_corpus(tmp_path / "nope") == []
+        assert iter_corpus(tmp_path / "nope") == []
 
 
 class TestShrinker:
     def test_passing_scenario_is_rejected(self):
         scenario = random_multicast_scenario(3)
         with pytest.raises(ValueError):
-            shrink_multicast_scenario(
+            shrink_scenario(
                 scenario, lambda s: not MulticastHarness().run(s).ok
             )
 
@@ -114,7 +118,7 @@ class TestShrinker:
             s for s in (random_multicast_scenario(seed) for seed in range(50))
             if fails(s)
         )
-        shrunk = shrink_multicast_scenario(scenario, fails)
+        shrunk = shrink_scenario(scenario, fails)
         assert fails(shrunk)
         assert len(shrunk.requests) == 1
         # A cost perturbation needs only one delivered member: the

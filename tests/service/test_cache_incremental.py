@@ -125,7 +125,8 @@ class TestIncrementalInvalidation:
     def test_reserved_path_is_masked_incrementally(self):
         injector, cache = faulted_cache(paper_figure1_network())
         path = cache.route(1, 7)
-        cache.mark_path_reserved(path)
+        for hop in path.hops:
+            cache.mark_channel_degraded(hop.tail, hop.head, hop.wavelength)
         # Mirror the reservation in the fault state so the comparison
         # router sees the same residual network.
         for hop in path.hops:

@@ -95,72 +95,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(window=0)
 
-
-class TestExactHistogram:
-    """``window=None``: every observation retained, tail quantiles exact."""
-
-    def test_p999_exact_beyond_any_window(self):
-        # 10_000 observations — far past the default 2048 window.  A
-        # windowed histogram can only see the most recent slice; exact
-        # mode must interpolate over the full population.
-        hist = Histogram(window=None)
-        import random
-
-        values = [float(v) for v in range(10_000)]
-        random.Random(7).shuffle(values)
-        for value in values:
-            hist.observe(value)
-        assert hist.count == 10_000
-        # rank = 0.999 * 9999 = 9989.001
-        assert hist.percentile(99.9) == pytest.approx(9989.001)
-        assert hist.percentile(50) == pytest.approx(4999.5)
-        assert hist.summary()["p999"] == pytest.approx(9989.001)
-
     def test_windowed_mode_is_a_window_estimate(self):
-        # The contrast that motivates exact mode: with eviction, the
-        # early observations are gone from the percentile view.
+        # With eviction, the early observations are gone from the
+        # percentile view.
         hist = Histogram(window=100)
         for value in range(10_000):
             hist.observe(float(value))
         assert hist.percentile(0) == 9900.0
-
-    def test_percentiles_batch_is_consistent(self):
-        hist = Histogram(window=None)
-        for value in range(1000):
-            hist.observe(float(value))
-        triple = hist.percentiles([50, 99, 99.9])
-        assert triple[50] == hist.percentile(50)
-        assert triple[99.9] == pytest.approx(hist.percentile(99.9))
-        with pytest.raises(ValueError):
-            hist.percentiles([50, 101])
-
-    def test_exact_mode_interleaves_observe_and_query(self):
-        hist = Histogram(window=None)
-        hist.observe(5.0)
-        hist.observe(1.0)
-        assert hist.percentile(0) == 1.0  # lazy sort happened
-        hist.observe(0.5)  # re-dirties the sorted view
-        assert hist.percentile(0) == 0.5
-        assert hist.percentile(100) == 5.0
-
-    def test_exact_mode_reset(self):
-        hist = Histogram(window=None)
-        for value in (3.0, 1.0, 2.0):
-            hist.observe(value)
-        hist.reset()
-        assert hist.count == 0
-        assert hist.percentile(99.9) == 0.0
-        hist.observe(4.0)
-        assert hist.percentile(50) == 4.0
-
-    def test_registry_exact_histogram(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", window=None)
-        for value in range(5000):
-            hist.observe(float(value))
-        assert registry.snapshot()["lat"]["p999"] == pytest.approx(
-            0.999 * 4999
-        )
 
 
 class TestMetricsRegistry:

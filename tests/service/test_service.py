@@ -70,51 +70,41 @@ class TestFacade:
 
     def test_invalidation_hooks_bump_epoch(self, paper_net):
         with RoutingService(paper_net, workers=0) as service:
-            path = service.route(1, 7)
+            service.route(1, 7)
             assert service.epoch == 0
-            service.notify_reserved(path)
-            assert service.epoch == 1
             service.notify_link_degraded(1, 2)
+            assert service.epoch == 1
+            service.notify_link_recovered(1, 2)
             assert service.epoch == 2
-            service.notify_released(path)
+            service.invalidate()
             assert service.epoch == 3
 
 
 class TestProvisionerWiring:
-    def test_attach_returns_service_and_detach(self, paper_net):
-        provisioner = SemilightpathProvisioner(paper_net)
-        assert provisioner.service is None
-        service = provisioner.attach_service()
-        assert provisioner.service is service
-        provisioner.detach_service()
-        assert provisioner.service is None
-
-    def test_admissions_track_epoch(self, paper_net):
-        provisioner = SemilightpathProvisioner(paper_net)
-        service = provisioner.attach_service()
-        connection = provisioner.establish(1, 7)
-        assert service.epoch == 1  # reservation marked degraded
-        provisioner.teardown(connection)
-        assert service.epoch == 2  # release = full invalidation
+    """A service over a provisioner's live residual view."""
 
     def test_admissions_match_cold_router_on_residual(self):
-        """After every mutation, served routes are hop-identical to a cold
-        router built on the identical residual network, and stay feasible."""
+        """With each reservation's channels marked degraded and each release
+        invalidating, served routes are hop-identical to a cold router
+        built on the identical residual network, and stay feasible."""
         net = nsfnet_network(num_wavelengths=4, seed=1)
         rng = random.Random(7)
         nodes = net.nodes()
         provisioner = SemilightpathProvisioner(net)
-        service = provisioner.attach_service()
+        service = RoutingService(provisioner.residual_network, workers=0)
         connections = []
         for step in range(30):
             source, target = rng.sample(nodes, 2)
             connection = provisioner.try_establish(source, target)
             if connection is not None:
                 connections.append(connection)
+                for hop in connection.path.hops:
+                    service.notify_link_degraded(hop.tail, hop.head, hop.wavelength)
             if step % 7 == 6 and connections:
                 provisioner.teardown(
                     connections.pop(rng.randrange(len(connections)))
                 )
+                service.invalidate()
             residual = provisioner.residual_network()
             cold = LiangShenRouter(residual)
             for _ in range(4):
@@ -140,7 +130,9 @@ class TestProvisionerWiring:
         rng = random.Random(3)
         nodes = net.nodes()
         provisioner = SemilightpathProvisioner(net)
-        service = provisioner.attach_service()
+        service = RoutingService(provisioner.residual_network, workers=0)
+        for source in nodes:
+            service.cache.tree(source)  # warm on the empty residual
         for _ in range(10):
             provisioner.try_establish(*rng.sample(nodes, 2))
         service.invalidate()
@@ -148,22 +140,8 @@ class TestProvisionerWiring:
         for source in nodes:
             assert service.cache.tree(source) == cold.tree(source)
 
-    def test_packing_mode_invalidates_fully(self, paper_net):
-        provisioner = SemilightpathProvisioner(paper_net, packing="most-used")
-        service = provisioner.attach_service()
-        provisioner.establish(1, 7)
-        # Full invalidation: next query rebuilds and serves correctly.
-        assert service.epoch == 1
-        residual = provisioner.residual_network()
-        cold = LiangShenRouter(residual)
-        for target in (6, 7):
-            assert service.route(1, target).total_cost == pytest.approx(
-                cold.route(1, target).cost
-            )
-
     def test_blocking_behaviour_preserved(self, tiny_net):
         provisioner = SemilightpathProvisioner(tiny_net)
-        provisioner.attach_service()
         first = provisioner.establish("a", "c")
         assert first.path.total_cost == 2.5
         second = provisioner.establish("a", "c")  # forced onto direct link

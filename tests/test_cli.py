@@ -196,6 +196,52 @@ class TestFuzz:
         assert "--seconds" in capsys.readouterr().err
 
 
+class TestMulticast:
+    def test_fuzz_replays_the_corpus_first(self, tmp_path, capsys):
+        from repro.multicast.verify import random_multicast_scenario
+        from repro.verify.corpus import save_case
+
+        corpus = tmp_path / "corpus"
+        case = save_case(corpus, random_multicast_scenario(0))
+        assert main([
+            "multicast", "--seconds", "0.5", "--seed", "0",
+            "--corpus", str(corpus),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "1 corpus case(s) replayed (0 failed)" in out
+        assert "0 failure(s)" in out
+        assert [path.name for path in corpus.iterdir()] == [case.name]
+
+    def test_failing_corpus_case_exits_4(self, tmp_path, capsys, monkeypatch):
+        from repro.multicast.verify import (
+            MulticastDisagreement,
+            MulticastHarness,
+            random_multicast_scenario,
+        )
+        from repro.verify.corpus import save_case
+
+        corpus = tmp_path / "corpus"
+        case = save_case(corpus, random_multicast_scenario(0))
+        run = MulticastHarness.run
+
+        def run_with_regression(self, scenario):
+            # The saved case (seed 0) regressed; fuzzed scenarios did not.
+            report = run(self, scenario)
+            if scenario.seed == 0:
+                report.disagreements.append(
+                    MulticastDisagreement("cost", 0, (1,), "regressed")
+                )
+            return report
+
+        monkeypatch.setattr(MulticastHarness, "run", run_with_regression)
+        assert main([
+            "multicast", "--seconds", "0.2", "--corpus", str(corpus),
+        ]) == 4
+        out = capsys.readouterr().out
+        assert f"corpus case {case.name} FAILED:" in out
+        assert "1 corpus case(s) replayed (1 failed)" in out
+
+
 class TestExitCodes:
     def test_constants_are_stable_and_distinct(self):
         from repro import cli

@@ -6,6 +6,8 @@ caught — the harness is itself code under test, and an oracle that can
 never fire is worse than none.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from repro.core.network import WDMNetwork
 from repro.core.routing import LiangShenRouter
 from repro.core.semilightpath import Hop, Semilightpath
 from repro.exceptions import NoPathError
-from repro.verify.harness import DifferentialHarness
+from repro.verify.harness import DifferentialHarness, fuzz
 from repro.verify.oracles import Oracle, default_oracles
 from repro.verify.scenarios import Scenario, ScenarioLimits, random_scenario
 from tests.strategies import networks_with_endpoints
@@ -170,28 +172,58 @@ class TestApplicability:
         assert "distributed:bellman-ford" not in names
 
 
+def fuzz_matrix(harness, seconds, seed=0, limits=ScenarioLimits(), **kwargs):
+    """Fuzz *harness* over unicast scenarios drawn within *limits*."""
+    return fuzz(
+        harness.run,
+        lambda scenario_seed: random_scenario(scenario_seed, limits=limits),
+        seconds=seconds,
+        seed=seed,
+        **kwargs,
+    )
+
+
 class TestFuzz:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="seconds"):
-            DifferentialHarness(FAST_ORACLES).fuzz(seconds=0)
+            fuzz_matrix(DifferentialHarness(FAST_ORACLES), seconds=0)
 
     def test_short_budget_runs_at_least_one_scenario(self):
-        result = DifferentialHarness(FAST_ORACLES).fuzz(seconds=0.001, seed=5)
+        result = fuzz_matrix(
+            DifferentialHarness(FAST_ORACLES), seconds=0.001, seed=5
+        )
         assert result.scenarios_run >= 1
-        assert result.queries_checked >= 1
+        assert result.counters["queries_checked"] >= 1
         assert result.ok and result.seed == 5
 
     def test_stops_early_at_max_failures(self):
         always_wrong = perturbing_oracle()
         harness = DifferentialHarness(list(FAST_ORACLES) + [always_wrong])
         limits = ScenarioLimits(max_nodes=5)
-        result = harness.fuzz(seconds=30, seed=0, limits=limits, max_failures=2)
+        result = fuzz_matrix(
+            harness, seconds=30, seed=0, limits=limits, max_failures=2
+        )
         assert len(result.failures) == 2
         assert result.elapsed < 30
 
     def test_on_scenario_callback_sees_every_report(self):
         seen = []
-        DifferentialHarness(FAST_ORACLES).fuzz(
-            seconds=0.001, seed=1, on_scenario=seen.append
+        fuzz_matrix(
+            DifferentialHarness(FAST_ORACLES),
+            seconds=0.001,
+            seed=1,
+            on_scenario=seen.append,
         )
         assert len(seen) >= 1 and all(r.ok for r in seen)
+
+    def test_elapsed_counts_a_scenario_that_overruns_the_budget(self):
+        # One oracle slower than the whole budget: elapsed must report the
+        # time actually spent, not clamp it to the budget.
+        def slow_prepare(network):
+            time.sleep(0.3)
+            return lambda source, target: None
+
+        slow = Oracle(name="injected:slow", prepare=slow_prepare)
+        result = fuzz_matrix(DifferentialHarness([slow]), seconds=0.05)
+        assert result.scenarios_run == 1
+        assert result.elapsed >= 0.3

@@ -42,11 +42,13 @@ class TestScenario:
         scenario = Scenario(network=_net(), queries=((0, 1),), seed=3)
         assert "n=2" in repr(scenario) and "seed=3" in repr(scenario)
 
-    def test_with_queries_and_with_network(self):
+    def test_shrinkable_protocol(self):
         scenario = Scenario(network=_net(), queries=((0, 1),))
-        assert scenario.with_queries(()).queries == ()
-        bigger = _net(k=3)
-        assert scenario.with_network(bigger).network is bigger
+        assert scenario.items == ((0, 1),)
+        assert scenario.with_items(()).queries == ()
+        assert scenario.pinned_nodes() == {0, 1}
+        assert scenario.size() == (1,)
+        assert scenario.shrink_passes() == ()
 
 
 class TestChainFree:

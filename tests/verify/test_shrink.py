@@ -8,8 +8,14 @@ import json
 
 import pytest
 
+from repro.multicast.splitters import MC
+from repro.multicast.verify import (
+    MulticastHarness,
+    MulticastScenario,
+    random_multicast_scenario,
+)
 from repro.verify.corpus import load_case, save_case
-from repro.verify.harness import DifferentialHarness
+from repro.verify.harness import DifferentialHarness, fuzz
 from repro.verify.oracles import default_oracles
 from repro.verify.scenarios import random_scenario
 from repro.verify.shrink import shrink_scenario
@@ -75,7 +81,9 @@ class TestShrink:
         harness = failing_harness()
 
         # Caught: the fuzzer itself trips over the injected bug.
-        result = harness.fuzz(seconds=10, seed=1998, max_failures=1)
+        result = fuzz(
+            harness.run, random_scenario, seconds=10, seed=1998, max_failures=1
+        )
         assert not result.ok
         failing_report = result.failures[0]
 
@@ -106,3 +114,46 @@ class TestShrink:
         # The persisted document is small enough to eyeball in review.
         path = save_case(tmp_path, shrunk)
         assert len(json.loads(path.read_text())["network"]["links"]) <= 6
+
+
+class TestShrinkMulticast:
+    """The same shrinker, driven through the multicast scenario kind."""
+
+    def test_multicast_failure_shrinks_through_every_pass(self):
+        harness = MulticastHarness(cost_perturbation=0.125)
+        fails = lambda s: not harness.run(s).ok  # noqa: E731
+        scenario = random_multicast_scenario(0)
+        assert fails(scenario)
+        shrunk = shrink_scenario(scenario, fails)
+        assert isinstance(shrunk, MulticastScenario)
+        assert fails(shrunk)
+        assert shrunk.description.endswith("(shrunk)")
+        # Item pass, then the member pass: one request, one member.
+        assert len(shrunk.requests) == 1
+        assert len(shrunk.requests[0].members) == 1
+        # Splitter pass: a mispricing needs no constrained node.
+        assert all(
+            shrunk.splitters.capability(node) == MC
+            for node in shrunk.network.nodes()
+        )
+        # Node/link passes: just the source, the member and one link.
+        assert shrunk.network.num_nodes == 2
+        assert shrunk.network.num_links == 1
+        # Universe pass: k cut to the largest wavelength still used.
+        used = {w for link in shrunk.network.links() for w in link.costs}
+        assert shrunk.network.num_wavelengths == max(used) + 1
+
+    def test_member_pass_keeps_the_members_a_failure_needs(self):
+        scenario = random_multicast_scenario(3)
+        request = max(scenario.requests, key=lambda r: len(r.members))
+        assert len(request.members) >= 2
+        needed = set(request.members[:2])
+
+        def fails(candidate):
+            return any(
+                r.source == request.source and needed <= set(r.members)
+                for r in candidate.requests
+            )
+
+        shrunk = shrink_scenario(scenario, fails)
+        assert [set(r.members) for r in shrunk.requests] == [needed]
