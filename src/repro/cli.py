@@ -380,10 +380,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = RouterServer(
             network, workers=args.workers, host=args.host, port=args.port
         )
-    server.start()
     # SIGTERM/SIGINT drain claimed jobs, unlink the segment, and let
     # join() return — a supervisor's TERM leaves no /dev/shm residue.
+    # Installed before start() binds the socket and forks the workers,
+    # so no signal can find them there with the default action pending.
     server.install_signal_handlers()
+    server.start()
     address = server.address
     shown = address if isinstance(address, str) else f"{address[0]}:{address[1]}"
     print(f"router server listening on {shown}")
@@ -393,8 +395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         server.join()
-    except KeyboardInterrupt:
-        print("interrupted; shutting down")
     finally:
         server.close()
     return EXIT_OK

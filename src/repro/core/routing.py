@@ -70,8 +70,6 @@ __all__ = [
     "run_tree",
     "run_trees",
     "merge_all_pairs",
-    "decode_warm_tree",
-    "decode_warm_targets",
 ]
 
 NodeId = Hashable
@@ -302,7 +300,13 @@ def run_tree(
     safe to pass.
     """
     run = resolve_kernel(heap)(aux.graph, aux.source_ids[source], scratch=scratch)
-    return decode_warm_tree(aux, source, run), run
+    tree: dict[NodeId, Semilightpath] = {}
+    for target, sink_id in aux.sink_ids.items():
+        if target == source or run.dist[sink_id] == math.inf:
+            continue
+        aux_path = reconstruct_path(run.parent, sink_id)
+        tree[target] = _decode(aux.decode, aux_path, run.dist[sink_id])
+    return tree, run
 
 
 def run_trees(
@@ -358,52 +362,6 @@ def merge_all_pairs(sizes, chunks) -> AllPairsResult:
             heap=heap_totals,
         ),
     )
-
-
-def decode_warm_tree(
-    aux: AllPairsGraph, source: NodeId, run
-) -> dict[NodeId, Semilightpath]:
-    """Decode a full Corollary 1 tree from an exhausted run's parent forest.
-
-    *run* is anything exposing ``dist`` / ``parent`` arrays over
-    ``aux.graph`` ids after running to exhaustion: a kernel's
-    :class:`~repro.shortestpath.dijkstra.DijkstraResult` (this is
-    :func:`run_tree`'s decode) or a warm
-    :class:`~repro.shortestpath.flat.WarmRun`.
-    """
-    tree: dict[NodeId, Semilightpath] = {}
-    for target, sink_id in aux.sink_ids.items():
-        if target == source or run.dist[sink_id] == math.inf:
-            continue
-        aux_path = reconstruct_path(run.parent, sink_id)
-        tree[target] = _decode(aux.decode, aux_path, run.dist[sink_id])
-    return tree
-
-
-def decode_warm_targets(
-    aux: AllPairsGraph,
-    source: NodeId,
-    run,
-    targets,
-    tree: dict[NodeId, Semilightpath],
-) -> None:
-    """Re-decode only *targets* of a warm tree, updating *tree* in place.
-
-    After a fail-only delta, :meth:`WarmRun.repair` reports which
-    auxiliary nodes were damaged; only paths ending in a damaged sink
-    need re-decoding — the incremental cache keeps every other decoded
-    path, which is what keeps patched tree refreshes proportional to
-    the damage.  A target that became unreachable is removed.
-    """
-    for target in targets:
-        if target == source:
-            continue
-        sink_id = aux.sink_ids[target]
-        if run.dist[sink_id] == math.inf:
-            tree.pop(target, None)
-        else:
-            aux_path = reconstruct_path(run.parent, sink_id)
-            tree[target] = _decode(aux.decode, aux_path, run.dist[sink_id])
 
 
 def _stats(sizes, run: DijkstraResult) -> QueryStats:

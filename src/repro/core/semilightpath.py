@@ -33,7 +33,7 @@ __all__ = ["Hop", "Conversion", "Semilightpath"]
 NodeId = Hashable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hop:
     """One link traversal: the link ``tail -> head`` on *wavelength*."""
 
@@ -60,7 +60,7 @@ class Conversion:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Semilightpath:
     """A wavelength-annotated walk plus its (claimed) total cost.
 

@@ -5,7 +5,9 @@
 of worker processes that *attach* (header parse + small metadata
 unpickle — no graph pickling, see docs/serving.md) and stay warm across
 requests, each holding a per-source :class:`~repro.core.forest.LazyForest`
-cache that is dropped whenever the segment's seqlock epoch moves.
+cache that is dropped whenever the segment's seqlock epoch moves.  A
+worker's tree searches only until the requested target's sink settles,
+and a later request on the same source in the same epoch resumes it.
 
 Request flow::
 
@@ -87,13 +89,20 @@ PATCH_EVENTS = frozenset(
 )
 
 
-def _worker_main(segment: str, index: int, tasks, results) -> None:
+def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
     """Worker process body: attach once, serve jobs until the poison pill.
 
     Every computation runs under ``SharedCSR.read_stable`` so a PATCH
     racing the tree run forces a retry instead of returning answers from
     a half-written weights array; the forest cache is keyed to the even
     epoch the last stable read observed and cleared whenever it moves.
+    A route request on a new source searches its tree only until the
+    target settles; later requests on that source resume the same tree,
+    so within one epoch each source's search runs at most once.
+
+    *sockets* are the server's listener and connections as this forked
+    child inherited them; the worker closes its copies at once, so only
+    the server process holds them and its death gives clients EOF.
     """
     import signal
 
@@ -101,6 +110,8 @@ def _worker_main(segment: str, index: int, tasks, results) -> None:
     # parent's graceful-shutdown path reaps workers via poison pills, so
     # workers must not race it by dying on the signal themselves.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for sock in sockets:
+        sock.close()
     aux = attach_all_pairs_graph(segment)
     shared = aux.shared_csr
     state: dict[str, Any] = {"epoch": shared.epoch, "forests": {}}
@@ -118,7 +129,9 @@ def _worker_main(segment: str, index: int, tasks, results) -> None:
             # ``forest.run_forest`` (a tracing wrapper) is honoured.
             from repro.core import forest
 
-            cached = state["forests"][source] = forest.run_forest(aux, source)
+            cached = state["forests"][source] = forest.run_forest(
+                aux, source, target
+            )
         return protocol.encode_path(cached.path_to(target))
 
     def execute(op: int, payload: Any):
@@ -262,6 +275,7 @@ class RouterServer:
         self._closed = threading.Event()
         self._close_guard = threading.Lock()
         self._close_started = False
+        self._stop_requested = False  # set by the signal handler
         self._lock = threading.Lock()
         self._jobs: dict[int, _Job] = {}
         self._active = 0  # dispatches between frame read and reply sent
@@ -356,25 +370,27 @@ class RouterServer:
         return [p.pid for p in self._workers if p.pid is not None]
 
     def join(self, timeout: float | None = None) -> bool:
-        """Block until the server closes (a SHUTDOWN frame or ``close()``).
+        """Block until the server closes (a SHUTDOWN frame, ``close()``, or
+        a signal :meth:`install_signal_handlers` handles).
 
         Polls rather than parking in a single untimed wait: the kernel
         may deliver a process-directed SIGTERM to *any* thread, and a
         main thread stuck in an untimed ``sem_wait`` never reaches a
         bytecode boundary to run the Python-level handler.  Waking every
-        200 ms guarantees :meth:`install_signal_handlers`'s handler
-        actually fires.
+        200 ms guarantees the handler fires, and the wake-up that finds
+        its shutdown request runs ``close()``.
         """
-        if timeout is not None:
-            deadline = time.monotonic() + timeout
-            while not self._closing.is_set():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._closing.is_set():
+            if self._stop_requested:
+                self.close()
+                break
+            wait = 0.2
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
                     return False
-                self._closing.wait(min(0.2, remaining))
-            return True
-        while not self._closing.wait(0.2):
-            pass
+            self._closing.wait(wait)
         return True
 
     def add_peer(self, address) -> None:
@@ -394,14 +410,19 @@ class RouterServer:
         """Route SIGTERM/SIGINT into the graceful ``close()`` path.
 
         Must be called from the main thread (CPython delivers signals
-        there).  The handler drains claimed jobs, reaps the pool, and
+        there), and before :meth:`start`, so no signal finds the socket
+        bound and the workers forked while the default action would
+        still kill the process and orphan them.  The handler only records
+        the request, so it is safe wherever it lands, even mid-``start()``
+        or mid-``close()``; :meth:`join` sees it within 200 ms and runs
+        ``close()``, which drains claimed jobs, reaps the pool, and
         unlinks the shared segment, so a supervisor's TERM leaves no
-        ``/dev/shm`` residue; ``join()`` returns once the handler runs.
+        ``/dev/shm`` residue.
         """
         import signal
 
         def _handle(signum, frame):  # noqa: ARG001 - signal signature
-            self.close()
+            self._stop_requested = True
 
         signal.signal(signal.SIGTERM, _handle)
         signal.signal(signal.SIGINT, _handle)
@@ -522,6 +543,12 @@ class RouterServer:
     # -- worker pool ----------------------------------------------------------
 
     def _spawn_worker(self, index: int):
+        # A forked child inherits every socket this process holds and is
+        # handed them to close; a spawned child inherits none.
+        sockets: list[socket.socket] = []
+        if self._ctx.get_start_method() == "fork":
+            with self._lock:
+                sockets = [self._listener, *self._connections]
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -529,6 +556,7 @@ class RouterServer:
                 index,
                 self._tasks,
                 self._results,
+                sockets,
             ),
             daemon=True,
             name=f"router-worker-{index}",

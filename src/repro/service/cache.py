@@ -21,9 +21,14 @@ monotonically increasing **epoch**:
     (:class:`~repro.shortestpath.delta.DeltaOverlay` masks or unmasks its
     CSR slots) instead of rebuilding it.  Removals repair the cached
     trees through their warm search state
-    (:class:`~repro.shortestpath.flat.WarmRun`), re-settling only the
+    (:meth:`~repro.core.forest.LazyForest.repair`), re-settling only the
     damaged region; recoveries can lower distances, which warm state
     cannot express, so they drop the trees but keep the patched overlay.
+
+Each cached tree is a warm :class:`~repro.core.forest.LazyForest`, the
+same type the server workers keep: a lookup searches only until the
+target's sink settles and decodes only that target, and the next lookup
+on the source resumes the same run.
 
 A resource the overlay cannot express — one that was already dark when
 ``G_all`` was built and now recovers — falls back to the full rebuild.
@@ -41,16 +46,12 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, Hashable
 
-from repro.core.auxiliary import KIND_SINK, build_all_pairs_graph
-from repro.core.routing import (
-    LiangShenRouter,
-    decode_warm_targets,
-    decode_warm_tree,
-)
+from repro.core.auxiliary import build_all_pairs_graph
+from repro.core.forest import LazyForest, run_forest
+from repro.core.routing import LiangShenRouter
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import NoPathError
 from repro.shortestpath.delta import DeltaOverlay
-from repro.shortestpath.flat import WarmRun
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.network import WDMNetwork
@@ -59,18 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["EpochRouterCache"]
 
 NodeId = Hashable
-
-
-class _Tree:
-    """One source's cached tree: warm search state, decoded paths, and the
-    targets a repair damaged (re-decoded on the next lookup)."""
-
-    __slots__ = ("run", "paths", "dirty")
-
-    def __init__(self, run: WarmRun, paths: dict[NodeId, Semilightpath]) -> None:
-        self.run = run
-        self.paths = paths
-        self.dirty: set[NodeId] = set()
 
 
 class EpochRouterCache:
@@ -120,7 +109,7 @@ class EpochRouterCache:
         # Patch ops queued by the mark_* notifications, applied to the
         # delta overlay lazily at the next refresh.
         self._patch_ops: list[tuple] = []
-        self._trees: dict[NodeId, _Tree] = {}
+        self._trees: dict[NodeId, LazyForest] = {}
         # Counters mirrored into the registry (when one is attached) so
         # they are inspectable even without metrics.
         self.hits = 0
@@ -236,10 +225,11 @@ class EpochRouterCache:
 
         Returns True when every op was expressible as a patch; the
         overlay's CSR weights are then up to date with the current epoch.
-        Fail-only batches additionally repair every warm tree (marking
-        damaged targets for lazy re-decode); batches that restored any
-        edge drop the decoded trees — distances can decrease, which warm
-        state cannot express — but still keep the patched overlay.
+        Fail-only batches additionally repair every warm tree (damaged
+        targets are searched and decoded again on their next lookup);
+        batches that restored any edge drop the trees — distances can
+        decrease, which warm state cannot express — but still keep the
+        patched overlay.
 
         On False the caller must full-rebuild: some op predates this
         overlay, and earlier ops in the batch may already have mutated
@@ -273,13 +263,11 @@ class EpochRouterCache:
             self._drop_trees()
             return True
         if masked:
-            decode = self._aux.decode
             pairs = delta.slot_pairs(masked)
-            for tree in self._trees.values():
-                for aid in tree.run.repair(pairs, delta.in_edges):
-                    aux_node = decode[aid]
-                    if aux_node.kind == KIND_SINK:
-                        tree.dirty.add(aux_node.node)
+            for forest in self._trees.values():
+                if forest.repair(pairs, delta.in_edges):
+                    self.tree_patches += 1
+                    self._count("tree_patches")
         self.trees_kept += len(self._trees)
         self._count("trees_kept", len(self._trees))
         return True
@@ -315,38 +303,37 @@ class EpochRouterCache:
         self.rebuilds += 1
         self._count("rebuilds")
 
-    def _tree(self, source: NodeId) -> dict[NodeId, Semilightpath]:
+    def _forest(self, source: NodeId, target: NodeId | None) -> LazyForest:
         """The current tree from *source* (lock held).
 
-        A cached tree whose warm run was repaired re-runs the search —
-        which only re-settles the damaged region — and re-decodes only
-        the targets whose sink was damaged; everything else is served
-        as-is.  A miss starts a fresh warm run to exhaustion and keeps
-        it for future queries and repairs.
+        A cached tree — repaired in place by any removal patch since —
+        is served as it is; its lookups resume the search where it
+        stopped.  A miss starts a warm run and searches it until
+        *target* settles (to exhaustion for ``None`` or an unknown
+        target), which is the work the ``cache.tree_build`` stats record.
         """
         self._refresh_locked()
-        tree = self._trees.get(source)
-        if tree is not None:
-            if tree.dirty:
-                tree.run.run()
-                decode_warm_targets(self._aux, source, tree.run, tree.dirty, tree.paths)
-                tree.dirty.clear()
-                self.tree_patches += 1
-                self._count("tree_patches")
+        forest = self._trees.get(source)
+        if forest is not None:
             self.hits += 1
             self._count("hits")
-            return tree.paths
+            return forest
         self.misses += 1
         self._count("misses")
-        run = WarmRun(self._aux.graph, self._aux.source_ids[source])
-        run.run()
-        paths = decode_warm_tree(self._aux, source, run)
-        self._trees[source] = _Tree(run, paths)
+        known = target in self._aux.sink_ids
+        forest = run_forest(self._aux, source, target if known else None)
+        self._trees[source] = forest
         if self._metrics is not None:
             self._metrics.observe_query(
-                _tree_stats(self._aux, run.result()), prefix="cache.tree_build"
+                _tree_stats(self._aux, forest.run.result()), prefix="cache.tree_build"
             )
-        return paths
+        return forest
+
+    def _path(self, forest: LazyForest, target: NodeId) -> Semilightpath | None:
+        """*forest*'s path to *target*; ``None`` for an unknown target too."""
+        if target not in self._aux.sink_ids:
+            return None
+        return forest.path_to(target)
 
     # -- queries -------------------------------------------------------------
 
@@ -371,7 +358,7 @@ class EpochRouterCache:
         if source == target:
             raise ValueError("source and target must differ")
         with self._lock:
-            path = self._tree(source).get(target)
+            path = self._path(self._forest(source, target), target)
             epoch = self._built_epoch
         if path is None:
             raise NoPathError(source, target)
@@ -392,9 +379,9 @@ class EpochRouterCache:
         error, not an unreachability answer).
         """
         with self._lock:
-            tree = self._tree(source)
+            forest = self._forest(source, targets[0] if targets else None)
             epoch = self._built_epoch
-            return [(tree.get(target), epoch) for target in targets]
+            return [(self._path(forest, target), epoch) for target in targets]
 
     def route_rebuild(
         self, source: NodeId, target: NodeId
@@ -429,13 +416,14 @@ class EpochRouterCache:
         if source == target:
             return 0.0
         with self._lock:
-            path = self._tree(source).get(target)
-        return math.inf if path is None else path.total_cost
+            forest = self._forest(source, target)
+            known = target in self._aux.sink_ids
+            return forest.cost(target) if known else math.inf
 
     def tree(self, source: NodeId) -> dict[NodeId, Semilightpath]:
         """A copy of the full shortest-path tree from *source*."""
         with self._lock:
-            return dict(self._tree(source))
+            return self._forest(source, None).materialize()
 
     def network_view(self) -> "WDMNetwork":
         """The network snapshot matching the current cache entries.

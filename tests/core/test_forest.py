@@ -31,6 +31,24 @@ class TestLazyForest:
                 assert lazy.hops == path.hops
                 assert lazy.total_cost == path.total_cost
 
+    def test_tree_stopped_at_a_target_resumes_to_the_rest(self, net, aux):
+        # A warm tree searched only up to its first target answers every
+        # later target exactly like the eager tree, resuming as it goes.
+        for source in net.nodes():
+            tree, _ = run_tree(aux, source)
+            for first in net.nodes():
+                forest = run_forest(aux, source, first)
+                assert forest.decoded_targets == 0
+                for target in net.nodes():
+                    path = forest.path_to(target)
+                    expected = tree.get(target)
+                    assert (path is None) == (expected is None), (source, target)
+                    if path is not None:
+                        assert path.hops == expected.hops
+                        assert path.total_cost == expected.total_cost
+        # ... and that first search stopped short of the whole tree.
+        assert not run_forest(aux, 1, 2).run.exhausted
+
     def test_decoding_is_lazy_and_memoized(self, aux):
         forest = run_forest(aux, 1)
         assert forest.decoded_targets == 0

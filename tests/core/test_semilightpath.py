@@ -1,6 +1,8 @@
 """Unit tests for the Semilightpath object and Eq. (1) evaluation."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -44,6 +46,21 @@ class TestStructure:
         path = make_path(("a", "b", 0), ("b", "c", 1))
         assert len(path) == 2
         assert [h.head for h in path] == ["b", "c"]
+
+
+    def test_slotted_yet_picklable_hashable_and_equal(self):
+        # Decoded paths fill every route cache, so neither class carries
+        # a per-instance __dict__; value semantics must survive that.
+        path = Semilightpath(
+            hops=(Hop("a", "b", 0), Hop("b", "c", 1)), total_cost=2.5
+        )
+        for value in (path.hops[0], path):
+            assert not hasattr(value, "__dict__")
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value
+            assert hash(copy) == hash(value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                copy.__setattr__(dataclasses.fields(copy)[0].name, None)
 
 
 class TestConversions:

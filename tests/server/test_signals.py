@@ -6,6 +6,10 @@ supervisor path: a ``python -m repro serve`` process killed with TERM
 ``leaked_segments()`` is the ground truth, scanning ``/dev/shm`` after
 the process is gone.  One test serves over TCP on an ephemeral port,
 the CLI's TCP bind path.
+
+Each spawned server runs in its own session, and cleanup kills that
+whole process group: a failing test must not leave a worker (and the
+segment it maps) behind for the next leak-audited test.
 """
 
 from __future__ import annotations
@@ -44,6 +48,16 @@ def network_file(tmp_path):
     return path
 
 
+def _kill_group(process):
+    """SIGKILL everything left in the server's session (a no-op after a
+    clean exit, which reaps the workers first)."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=30.0)
+
+
 def _spawn_server(network_file, uds_path):
     process = subprocess.Popen(
         [
@@ -54,6 +68,7 @@ def _spawn_server(network_file, uds_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -69,7 +84,7 @@ def _spawn_server(network_file, uds_path):
             except Exception:
                 pass
         time.sleep(0.05)
-    process.kill()
+    _kill_group(process)
     raise AssertionError("server did not come up in 30s")
 
 
@@ -82,8 +97,7 @@ def test_signal_shutdown_is_clean(network_file, tmp_path, signum):
         process.send_signal(signum)
         code = process.wait(timeout=30.0)
     finally:
-        if process.poll() is None:
-            process.kill()
+        _kill_group(process)
     output = process.stdout.read()
     assert code == 0, f"exit {code}:\n{output}"
     assert set(leaked_segments()) - before == set(), output
@@ -112,8 +126,7 @@ def test_sigterm_drains_inflight_requests(network_file, tmp_path):
         sock.close()
         code = process.wait(timeout=30.0)
     finally:
-        if process.poll() is None:
-            process.kill()
+        _kill_group(process)
     assert code == 0
     assert set(leaked_segments()) - before == set()
 
@@ -131,6 +144,7 @@ def test_serve_over_tcp_reports_its_address(network_file):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     lines: queue.Queue[str] = queue.Queue()
     threading.Thread(
@@ -150,10 +164,61 @@ def test_serve_over_tcp_reports_its_address(network_file):
         process.send_signal(signal.SIGTERM)
         code = process.wait(timeout=30.0)
     finally:
-        if process.poll() is None:
-            process.kill()
+        _kill_group(process)
     assert code == 0
     assert set(leaked_segments()) - before == set()
+
+
+def test_serve_handles_signals_before_it_binds(network_file, tmp_path, monkeypatch):
+    """``repro serve`` has its TERM/INT handling in place before
+    ``start()`` binds the socket and forks the workers, so no signal can
+    kill it by the default action while they exist."""
+    from repro.cli import main
+
+    seen = []
+    start = RouterServer.start
+
+    def recording_start(self):
+        seen.append(signal.getsignal(signal.SIGTERM))
+        return start(self)
+
+    monkeypatch.setattr(RouterServer, "start", recording_start)
+    monkeypatch.setattr(RouterServer, "join", lambda self, timeout=None: True)
+    saved = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+    before = set(leaked_segments())
+    try:
+        code = main(
+            [
+                "serve", str(network_file),
+                "--uds", str(tmp_path / "router.sock"), "--workers", "1",
+            ]
+        )
+    finally:
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+    assert code == 0
+    assert len(seen) == 1 and seen[0] is not signal.SIG_DFL
+    assert set(leaked_segments()) - before == set()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_workers_do_not_hold_the_listener(paper_net):
+    """Forked workers close their copy of the listening socket, so a dead
+    server process leaves no one accepting on it: clients see EOF or a
+    refused connection, never a silent hang."""
+    with RouterServer(paper_net, workers=1, uds="") as server:
+        with RouterClient(server.address) as client:
+            client.route(1, 7)  # the worker has served, so it is running
+        listener = f"socket:[{os.fstat(server._listener.fileno()).st_ino}]"
+        for pid in server.worker_pids():
+            fd_dir = f"/proc/{pid}/fd"
+            held = set()
+            for fd in os.listdir(fd_dir):
+                try:
+                    held.add(os.readlink(os.path.join(fd_dir, fd)))
+                except FileNotFoundError:
+                    pass  # closed since the listing
+            assert listener not in held, pid
 
 
 def test_in_process_close_drains_claimed_jobs(paper_net):

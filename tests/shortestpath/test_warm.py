@@ -198,6 +198,38 @@ class TestRepair:
         warm.run()
         assert_matches_cold(warm, g, 0)
 
+    @pytest.mark.parametrize("trial", range(25))
+    def test_repaired_partial_run_identical_to_cold_run(self, trial):
+        """The same invariant for runs stopped at a target: masks land
+        between resumes to random targets, and after every resume each
+        settled node agrees with a cold run on the graph as masked."""
+        rng = random.Random(2000 + trial)
+        g = random_graph(trial)
+        n = g.num_nodes
+        offsets, heads, weights, _ = g.csr()
+        warm = WarmRun(g, 0)
+        for _ in range(4):
+            warm.run(target=rng.randrange(n))
+            cold = flat_dijkstra(g, 0)
+            for v in range(n):
+                if warm.is_settled(v):
+                    assert warm.dist[v] == cold.dist[v], v
+                    assert warm.parent[v] == cold.parent[v], v
+                    assert warm.parent_tag[v] == cold.parent_tag[v], v
+            finite = [
+                (u, i)
+                for u in range(n)
+                for i in range(offsets[u], offsets[u + 1])
+                if weights[i] != INF
+            ]
+            masked = []
+            for u, i in rng.sample(finite, min(2, len(finite))):
+                weights[i] = INF
+                masked.append((u, heads[i]))
+            warm.repair(masked, reverse_adjacency(g))
+        warm.run()
+        assert_matches_cold(warm, g, 0)
+
     def test_repeated_repairs_accumulate(self):
         g = diamond()
         warm = WarmRun(g, 0)
