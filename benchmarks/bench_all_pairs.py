@@ -9,12 +9,8 @@ the single-source run.
 
 from __future__ import annotations
 
-import os
 import time
 
-import pytest
-
-from repro.core.parallel import route_all_pairs_parallel
 from repro.core.routing import LiangShenRouter
 from repro.exceptions import NoPathError
 from benchmarks.conftest import sparse_wan
@@ -54,56 +50,6 @@ def test_all_pairs_beats_pairwise_rebuilds(benchmark, report):
     benchmark.extra_info["t_all_seconds"] = t_all
     benchmark.extra_info["t_pairwise_seconds"] = t_pairwise
     benchmark(lambda: router.route_tree(nodes[0]))
-
-
-def test_all_pairs_worker_scaling(benchmark, report):
-    """Serial vs process-parallel all-pairs over one shared ``G_all``.
-
-    Always asserts result identity.  The speedup floor (2 workers must
-    not lose to serial by more than fork overhead allows) is only
-    meaningful with real parallelism, so it is skipped — not failed — on
-    a 1-CPU box; ``os.cpu_count()`` is recorded alongside the table so a
-    multi-core machine re-measures cleanly.
-    """
-    net = sparse_wan(48, seed=12)
-    router = LiangShenRouter(net)
-    aux = router.all_pairs_graph()
-
-    timings: dict[int, float] = {}
-    views: dict[int, dict] = {}
-    for workers in (1, 2, 4):
-        start = time.perf_counter()
-        result = route_all_pairs_parallel(net, workers=workers, aux=aux)
-        timings[workers] = time.perf_counter() - start
-        views[workers] = {
-            p: (v.hops, v.total_cost) for p, v in result.paths.items()
-        }
-
-    assert views[2] == views[1]
-    assert views[4] == views[1]
-
-    lines = [
-        f"workers={w}: {timings[w] * 1e3:9.1f} ms "
-        f"({timings[1] / timings[w]:.2f}x vs serial)"
-        for w in sorted(timings)
-    ]
-    report(
-        f"COR1: all-pairs worker scaling (n=48, {os.cpu_count()} CPUs)",
-        "\n".join(lines),
-    )
-    for workers, seconds in timings.items():
-        benchmark.extra_info[f"workers_{workers}_seconds"] = seconds
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark(lambda: route_all_pairs_parallel(net, workers=1, aux=aux))
-
-    if (os.cpu_count() or 1) == 1:
-        pytest.skip("speedup floor needs >1 CPU; identity already verified")
-    # With real cores, 2 workers must at least roughly hold their own
-    # against serial (generous floor: fork + shm-attach overhead).
-    assert timings[2] < 2.0 * timings[1], (
-        f"2-worker run lost badly to serial on a "
-        f"{os.cpu_count()}-CPU box: {timings}"
-    )
 
 
 def test_all_pairs_results_complete(benchmark):

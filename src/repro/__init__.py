@@ -39,7 +39,7 @@ Package map
     blocking-probability simulation.
 ``repro.service``
     Request-driven routing service: epoch-versioned ``G_all`` caching,
-    concurrent query engine with backpressure and deadlines, metrics.
+    deadlines, retry and circuit breaking on the caller's thread, metrics.
 ``repro.analysis`` / ``repro.io``
     Size accounting vs the paper's bounds, complexity fitting, JSON/DOT.
 """
@@ -73,14 +73,12 @@ from repro.exceptions import (
     CircuitOpenError,
     ConversionError,
     DeadlineExceeded,
-    DeadlineExpiredError,
     InjectedFaultError,
     InvalidPathError,
     NetworkStructureError,
     NoPathError,
     RestrictionViolation,
     SemilightError,
-    ServiceClosedError,
     ServiceError,
     ServiceOverloadError,
     TransientBackendError,
@@ -89,7 +87,6 @@ from repro.exceptions import (
 from repro.service import (
     EpochRouterCache,
     MetricsRegistry,
-    QueryEngine,
     RoutingService,
 )
 from repro.topology.reference import (
@@ -134,7 +131,6 @@ __all__ = [
     # serving layer
     "RoutingService",
     "EpochRouterCache",
-    "QueryEngine",
     "MetricsRegistry",
     # reference networks
     "paper_figure1_network",
@@ -151,8 +147,6 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadError",
     "DeadlineExceeded",
-    "DeadlineExpiredError",
-    "ServiceClosedError",
     "TransientBackendError",
     "InjectedFaultError",
     "CircuitOpenError",

@@ -4,7 +4,7 @@
 python -m repro generate ring --nodes 12 --wavelengths 4 -o net.json
 python -m repro route net.json 0 6
 python -m repro route net.json 0 6 --max-conversions 1 --alternatives 3
-python -m repro all-pairs net.json --workers 4
+python -m repro all-pairs net.json
 python -m repro sizes net.json
 python -m repro provision net.json --load 30 --requests 500 --policy first-fit
 python -m repro serve net.json --workers 4 --host 127.0.0.1 --port 4500
@@ -127,12 +127,12 @@ def _cmd_all_pairs(args: argparse.Namespace) -> int:
     network = _load_network(args.network)
     router = LiangShenRouter(network, heap=args.heap)
     start = time.perf_counter()
-    result = router.route_all_pairs(workers=args.workers)
+    result = router.route_all_pairs()
     elapsed = time.perf_counter() - start
     n = len(network.nodes())
     print(
         f"routed {len(result.paths)} of {n * (n - 1)} ordered pairs "
-        f"in {elapsed:.3f}s (workers={args.workers or 1}, heap={args.heap}; "
+        f"in {elapsed:.3f}s (heap={args.heap}; "
         f"settled {result.stats.settled}, relaxed {result.stats.relaxations})"
     )
     if args.output:
@@ -502,7 +502,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             network,
             seed=args.seed + index,
             duration=budget,
-            workers=args.workers,
             num_faults=args.faults,
             cost_perturbation=perturbation,
             corpus_dir=args.repro_dir,
@@ -817,13 +816,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser(
         "all-pairs",
-        help="route every ordered pair (Corollary 1), optionally process-parallel",
+        help="route every ordered pair (Corollary 1)",
     )
     p_all.add_argument("network")
-    p_all.add_argument(
-        "--workers", type=int, default=None,
-        help="fan the n tree runs across this many processes (default: serial)",
-    )
     p_all.add_argument(
         "--heap", choices=["flat", "binary", "pairing", "fibonacci"],
         default="flat", help="shortest-path kernel",
@@ -952,9 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--faults", type=int, default=20,
         help="injected faults per network (recoveries are implied)",
-    )
-    p_chaos.add_argument(
-        "--workers", type=int, default=2, help="query-engine worker threads"
     )
     p_chaos.add_argument(
         "--corpus", default="tests/verify/corpus",

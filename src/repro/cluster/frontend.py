@@ -4,9 +4,7 @@
 servers — it routes each query to the shard the placement ring assigns
 (by source node), walks that shard's replicas with per-replica circuit
 breakers, and bounds the number of in-flight requests, shedding the
-excess with :class:`~repro.exceptions.ServiceOverloadError` exactly as
-the in-process :class:`~repro.service.engine.QueryEngine` does when its
-bounded queue fills.
+excess with :class:`~repro.exceptions.ServiceOverloadError`.
 
 Failure handling composes the existing pieces rather than inventing new
 ones:

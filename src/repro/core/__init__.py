@@ -46,7 +46,6 @@ from repro.core.restrictions import (
     enforce_restrictions,
     is_node_simple,
 )
-from repro.core.parallel import route_all_pairs_parallel
 from repro.core.routing import AllPairsResult, LiangShenRouter, RouteResult
 from repro.core.semilightpath import Hop, Semilightpath
 from repro.core.wavelengths import wavelength_name
@@ -74,7 +73,6 @@ __all__ = [
     "LiangShenRouter",
     "RouteResult",
     "AllPairsResult",
-    "route_all_pairs_parallel",
     "BoundedConversionRouter",
     "conversion_cost_profile",
     "k_shortest_semilightpaths",

@@ -18,8 +18,7 @@
   shortest-path tree over the cached ``G_all`` (the building block of
   Corollary 1).
 * :meth:`~LiangShenRouter.route_all_pairs` — all pairs: one tree per
-  node over the shared cached ``G_all``, optionally fanned out across a
-  process pool (``workers=...``, see :mod:`repro.core.parallel`).
+  node over the shared cached ``G_all``, run serially in node order.
 
 A router instance treats its network as **frozen**: ``G'`` and ``G_all``
 are built lazily on first use and cached for the router's lifetime.
@@ -68,8 +67,6 @@ __all__ = [
     "AllPairsResult",
     "LiangShenRouter",
     "run_tree",
-    "run_trees",
-    "merge_all_pairs",
 ]
 
 NodeId = Hashable
@@ -253,26 +250,35 @@ class LiangShenRouter:
         aux = self.all_pairs_graph()
         return run_tree(aux, source, heap=self.heap, scratch=self._pool)[0]
 
-    def route_all_pairs(self, workers: int | None = None) -> AllPairsResult:
+    def route_all_pairs(self) -> AllPairsResult:
         """Corollary 1: optimal semilightpaths for all ordered pairs.
 
         One shared ``G_all`` build plus ``n`` shortest-path-tree runs:
-        ``O(k²n² + kmn + kn²·log(kn))`` total.  With ``workers`` > 1 the
-        ``n`` independent tree runs are partitioned across a process pool
-        (:func:`repro.core.parallel.route_all_pairs_parallel`); results
-        are identical to the serial run.
+        ``O(k²n² + kmn + kn²·log(kn))`` total.  ``paths`` iterates in
+        source order (the network's node order), then tree order, and
+        ``stats`` sums the ``n`` runs' work.
         """
         aux = self.all_pairs_graph()
-        if workers is not None and workers > 1:
-            from repro.core.parallel import route_all_pairs_parallel
-
-            return route_all_pairs_parallel(
-                self.network, workers=workers, heap=self.heap, aux=aux
-            )
-        chunk = run_trees(
-            aux, self.network.nodes(), heap=self.heap, scratch=self._pool
+        paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
+        settled = relaxations = 0
+        heap_totals: dict[str, int] = {}
+        for source in self.network.nodes():
+            tree, run = run_tree(aux, source, heap=self.heap, scratch=self._pool)
+            for target, path in tree.items():
+                paths[(source, target)] = path
+            settled += run.settled
+            relaxations += run.relaxations
+            for key, value in run.heap_stats.items():
+                heap_totals[key] = heap_totals.get(key, 0) + value
+        return AllPairsResult(
+            paths=paths,
+            stats=QueryStats(
+                sizes=aux.sizes,
+                settled=settled,
+                relaxations=relaxations,
+                heap=heap_totals,
+            ),
         )
-        return merge_all_pairs(aux.sizes, [chunk])
 
     # -- kernel dispatch -----------------------------------------------------
 
@@ -294,10 +300,9 @@ def run_tree(
 ) -> tuple[dict[NodeId, Semilightpath], DijkstraResult]:
     """One Corollary 1 shortest-path tree over a shared ``G_all``.
 
-    Module-level so process-pool workers (:mod:`repro.core.parallel`) can
-    run trees against an attached ``aux`` without a router instance.
-    The tree is fully decoded before returning, so reusable *scratch* is
-    safe to pass.
+    Module-level so a ``G_all`` attached from shared memory can run
+    trees without a router instance.  The tree is fully decoded before
+    returning, so reusable *scratch* is safe to pass.
     """
     run = resolve_kernel(heap)(aux.graph, aux.source_ids[source], scratch=scratch)
     tree: dict[NodeId, Semilightpath] = {}
@@ -307,61 +312,6 @@ def run_tree(
         aux_path = reconstruct_path(run.parent, sink_id)
         tree[target] = _decode(aux.decode, aux_path, run.dist[sink_id])
     return tree, run
-
-
-def run_trees(
-    aux: AllPairsGraph,
-    sources,
-    heap: str | Callable[[], AddressableHeap] = "flat",
-    scratch: ScratchBuffers | ScratchPool | None = None,
-) -> tuple[list, int, int, dict[str, int]]:
-    """Corollary 1's serial loop: one :func:`run_tree` per source, in order.
-
-    Returns ``(trees, settled, relaxations, heap_totals)`` — the
-    ``(source, tree)`` list plus the runs' summed work counters.  This is
-    the unit of work of a serial all-pairs run and of every process-pool
-    or server chunk; :func:`merge_all_pairs` folds such chunks together.
-    """
-    trees: list[tuple[NodeId, dict[NodeId, Semilightpath]]] = []
-    settled = relaxations = 0
-    heap_totals: dict[str, int] = {}
-    for source in sources:
-        tree, run = run_tree(aux, source, heap=heap, scratch=scratch)
-        trees.append((source, tree))
-        settled += run.settled
-        relaxations += run.relaxations
-        for key, value in run.heap_stats.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return trees, settled, relaxations, heap_totals
-
-
-def merge_all_pairs(sizes, chunks) -> AllPairsResult:
-    """Fold :func:`run_trees` chunks, in source order, into one result.
-
-    Paths are inserted chunk by chunk, so a chunked run's ``paths`` dict
-    iterates in exactly the serial run's order, and the work counters
-    sum to the serial totals.
-    """
-    paths: dict[tuple[NodeId, NodeId], Semilightpath] = {}
-    settled = relaxations = 0
-    heap_totals: dict[str, int] = {}
-    for trees, chunk_settled, chunk_relaxations, chunk_heap in chunks:
-        for source, tree in trees:
-            for target, path in tree.items():
-                paths[(source, target)] = path
-        settled += chunk_settled
-        relaxations += chunk_relaxations
-        for key, value in chunk_heap.items():
-            heap_totals[key] = heap_totals.get(key, 0) + value
-    return AllPairsResult(
-        paths=paths,
-        stats=QueryStats(
-            sizes=sizes,
-            settled=settled,
-            relaxations=relaxations,
-            heap=heap_totals,
-        ),
-    )
 
 
 def _stats(sizes, run: DijkstraResult) -> QueryStats:

@@ -25,8 +25,6 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadError",
     "DeadlineExceeded",
-    "DeadlineExpiredError",
-    "ServiceClosedError",
     "TransientBackendError",
     "InjectedFaultError",
     "CircuitOpenError",
@@ -146,26 +144,22 @@ class ServiceError(SemilightError):
 
 
 class ServiceOverloadError(ServiceError):
-    """The service's bounded request queue is full (backpressure).
+    """The serving tier's in-flight bound is reached (backpressure).
 
     Callers should retry later or shed load; the rejected query was never
-    enqueued and had no effect.
+    sent and had no effect.
     """
 
-    def __init__(self, queue_limit: int) -> None:
-        super().__init__(
-            f"request queue full ({queue_limit} pending); request rejected"
-        )
-        self.queue_limit = queue_limit
+    def __init__(self, limit: int) -> None:
+        super().__init__(f"{limit} request(s) in flight; request rejected")
+        self.limit = limit
 
 
 class DeadlineExceeded(ServiceError):
     """A query's deadline passed before it could be answered.
 
-    Raised both when the deadline expires while the request is still
-    queued and when the caller's wait on the result outlives it — one
-    typed error for every way a deadline can be missed.  ``elapsed`` is
-    the seconds spent between submission and expiry when known.
+    ``elapsed`` is the seconds between the call and the moment the
+    expiry was observed, when known.
     """
 
     def __init__(
@@ -180,18 +174,10 @@ class DeadlineExceeded(ServiceError):
         self.elapsed = elapsed
 
 
-#: Backwards-compatible name for :class:`DeadlineExceeded`.
-DeadlineExpiredError = DeadlineExceeded
-
-
-class ServiceClosedError(ServiceError):
-    """A query was submitted to a service that has been shut down."""
-
-
 class TransientBackendError(ServiceError):
     """A routing backend failed in a way that is safe to retry.
 
-    The query had no side effects; callers (and the query engine's retry
+    The query had no side effects; callers (and the service's retry
     policy) may re-issue it, ideally after a backoff.
     """
 

@@ -6,9 +6,9 @@
    base network and a :class:`~repro.service.service.RoutingService`
    whose network factory is the injector's degraded view (with retry and
    a circuit breaker wired in);
-2. replays a seeded query stream while applying a seeded
-   :class:`~repro.faults.plan.FaultPlan` on a virtual-time schedule
-   scaled to the wall-clock budget;
+2. replays a seeded query stream, one query at a time, while applying
+   a seeded :class:`~repro.faults.plan.FaultPlan` on a virtual-time
+   schedule scaled to the wall-clock budget;
 3. checks **invariants** on every answer and at the end of the run:
 
    * every served path passes the router-independent Eq. (1) certificate
@@ -26,8 +26,7 @@
      deterministic drill drives a full open → half-open → closed cycle;
    * after the last fault clears, the service re-converges to
      **byte-identical** routes against a fresh router on the pristine
-     network, within a bounded recovery window;
-   * no worker threads or pool processes are leaked.
+     network, within a bounded recovery window.
 
 4. on any violation, exits non-ok; certificate violations are shrunk via
    :func:`repro.verify.shrink.shrink_scenario` (when reproducible) and
@@ -41,23 +40,20 @@ the certificate oracle actually guards the serving path.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.core.network import WDMNetwork
-from repro.core.parallel import _SHARED, route_all_pairs_parallel
 from repro.core.routing import LiangShenRouter
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceeded,
-    InjectedFaultError,
     NoPathError,
     TransientBackendError,
 )
-from repro.faults.injector import ChunkCrash, FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan, generate_plan
 from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.service.service import RoutingService
@@ -172,9 +168,10 @@ class SoakReport:
 class _PerturbedCache:
     """Backend-bug fixture: delegates to the real cache, misprices answers.
 
-    The soak's self-test installs this on the *engine* only, so the
-    perturbed cost flows through the full serving path and must be caught
-    by the certificate check — never by the proxy itself.
+    The soak's self-test installs this as the *service's* cache, so the
+    perturbed cost flows through ``route``/``route_resilient`` and must be
+    caught by the certificate check — never by the proxy itself.  The
+    soak's own probes keep reading the real cache.
     """
 
     def __init__(self, inner, delta: float) -> None:
@@ -211,8 +208,6 @@ class ChaosSoak:
     duration:
         Wall-clock budget in seconds; the fault plan's virtual timeline
         is scaled onto it.
-    workers:
-        Query-engine worker threads (0 = synchronous serving).
     plan:
         A prebuilt :class:`FaultPlan`; drawn from the seed when omitted.
     num_faults:
@@ -242,7 +237,6 @@ class ChaosSoak:
         network: WDMNetwork,
         seed: int = 0,
         duration: float = 30.0,
-        workers: int = 2,
         plan: FaultPlan | None = None,
         num_faults: int = 20,
         query_timeout: float = 10.0,
@@ -259,7 +253,6 @@ class ChaosSoak:
         self.base = network.copy()
         self.seed = seed
         self.duration = duration
-        self.workers = workers
         self.plan = plan if plan is not None else generate_plan(
             self.base, seed=seed, num_faults=num_faults
         )
@@ -279,11 +272,9 @@ class ChaosSoak:
         )
         # Chain any caller-provided transition callback behind the recorder.
         inner_cb = self.breaker._on_transition
-        self._transition_lock = threading.Lock()
 
         def record_transition(old: str, new: str) -> None:
-            with self._transition_lock:
-                self.report.breaker_transitions.append((old, new))
+            self.report.breaker_transitions.append((old, new))
             if inner_cb is not None:
                 inner_cb(old, new)
 
@@ -293,14 +284,14 @@ class ChaosSoak:
         self.snapshots: dict[int, WDMNetwork] = {}
         self.service = RoutingService(
             self._snapshotting_factory,
-            workers=workers,
             retry=self.retry,
             breaker=self.breaker,
         )
+        #: The real epoch cache: parity probes and counters read it even
+        #: while the self-test's perturbed proxy serves the queries.
+        self.cache = self.service.cache
         if cost_perturbation:
-            self.service.engine.cache = _PerturbedCache(
-                self.service.cache, cost_perturbation
-            )
+            self.service.cache = _PerturbedCache(self.cache, cost_perturbation)
         self.injector.attach(self.service)
         self._rng = random.Random(seed ^ 0x5EED)
         self._pairs = self._query_pool()
@@ -335,16 +326,11 @@ class ChaosSoak:
 
     def run(self) -> SoakReport:
         started = time.monotonic()
-        threads_before = {t.ident for t in threading.enumerate()}
-        try:
-            self._warm_phase()
-            self._storm_phase(started)
-            self._drain_engine_faults()
-            self._breaker_drill()
-            self._recovery_phase()
-        finally:
-            self.service.close()
-        self._check_leaks(threads_before)
+        self._warm_phase()
+        self._storm_phase(started)
+        self._drain_engine_faults()
+        self._breaker_drill()
+        self._recovery_phase()
         self.report.faults_applied = self.plan.kinds()
         self._check_breaker_log()
         stale_metric = self.service.metrics.counter("service.stale_served").value
@@ -353,7 +339,7 @@ class ChaosSoak:
                 f"stale accounting mismatch: soak saw {self.report.served_stale} "
                 f"stale answers, service.stale_served metric says {stale_metric}"
             )
-        cache_counters = self.service.cache.counters()
+        cache_counters = self.cache.counters()
         self.report.cache_patches = cache_counters.get("patches", 0)
         self.report.cache_rebuilds = cache_counters.get("rebuilds", 0)
         self.report.elapsed = time.monotonic() - started
@@ -398,10 +384,7 @@ class ChaosSoak:
             view = self.injector.network_view()
             for epoch in range(epoch_before + 1, self.service.epoch + 1):
                 self.snapshots[epoch] = view
-        if event.kind == "worker_crash":
-            self.injector.take_pending_crash()
-            self._exercise_worker_crash()
-        elif event.kind in _NETWORK_FAULT_KINDS:
+        if event.kind in _NETWORK_FAULT_KINDS:
             self._parity_probe(event)
 
     def _parity_probe(self, event: FaultEvent) -> None:
@@ -411,11 +394,11 @@ class ChaosSoak:
         query applies the queued delta (or falls back to a rebuild); its
         answer for a couple of pairs must match — hop for hop — a fresh
         :class:`LiangShenRouter` built on the injector's current view.
-        The probe goes through ``service.cache`` directly, bypassing the
-        engine, so injected latency/exception faults and the perturbed
-        self-test backend cannot blur what is being measured.
+        The probe reads the real cache directly, bypassing the service's
+        guarded call, so injected latency/exception faults and the
+        perturbed self-test backend cannot blur what is being measured.
         """
-        cache = self.service.cache
+        cache = self.cache
         view = self.injector.network_view()
         fresh = LiangShenRouter(view)
         before = cache.counters()
@@ -522,38 +505,6 @@ class ChaosSoak:
 
     # -- scheduled sub-exercises ----------------------------------------------
 
-    def _exercise_worker_crash(self) -> None:
-        """Crash one pool worker mid-run; assert containment and recovery."""
-        view = self.injector.network_view()
-        try:
-            route_all_pairs_parallel(view, workers=2, fault_hook=ChunkCrash(0))
-        except InjectedFaultError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - anything else is a violation
-            self.report.add_violation(
-                f"worker crash surfaced as {type(exc).__name__}: {exc} "
-                "(expected InjectedFaultError)"
-            )
-            return
-        else:
-            self.report.add_violation(
-                "injected worker crash vanished: pool run completed"
-            )
-            return
-        if _SHARED:
-            self.report.add_violation(
-                "worker crash leaked core.parallel._SHARED state"
-            )
-            _SHARED.clear()
-        # Bounded recovery: the very next pool run must succeed and agree
-        # with a serial run on the same view.
-        clean = route_all_pairs_parallel(view, workers=2)
-        serial = LiangShenRouter(view).route_all_pairs()
-        if not _same_paths(clean.paths, serial.paths):
-            self.report.add_violation(
-                "post-crash pool run disagrees with serial all-pairs"
-            )
-
     def _drain_engine_faults(self, budget: float = 5.0) -> None:
         """Consume any still-pending injected latency/exception faults.
 
@@ -572,7 +523,7 @@ class ChaosSoak:
                 time.sleep(0.02)
         if self.injector.active_faults()["engine_pending"]:
             self.report.add_violation(
-                "injected engine faults were never consumed by the workers"
+                "injected engine faults were never consumed by the backend"
             )
 
     def _settle_breaker(self, budget: float = 3.0) -> None:
@@ -723,27 +674,6 @@ class ChaosSoak:
                     f"illegal breaker transition {old} -> {new}"
                 )
 
-    def _check_leaks(self, threads_before: set) -> None:
-        deadline = time.monotonic() + 5.0
-        leaked: list[threading.Thread] = []
-        while True:
-            leaked = [
-                t
-                for t in threading.enumerate()
-                if t.ident not in threads_before
-                and t.is_alive()
-                and t.name.startswith("repro-query-")
-            ]
-            if not leaked:
-                return
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.05)
-        self.report.add_violation(
-            f"leaked worker threads after shutdown: "
-            f"{[t.name for t in leaked]}"
-        )
-
     def _persist_violation(
         self, network: WDMNetwork, source: NodeId, target: NodeId
     ) -> None:
@@ -777,7 +707,7 @@ class ChaosSoak:
         """Does the live backend's bug reproduce on *scenario* standalone?
 
         Rebuilds the same serving backend shape — a router answer passed
-        through the same perturbation the engine saw — and certificate-
+        through the same perturbation the service saw — and certificate-
         checks it, so the shrinker minimizes exactly the observed defect.
         """
         router = LiangShenRouter(scenario.network)
@@ -795,11 +725,3 @@ class ChaosSoak:
                 return True
         return False
 
-
-def _same_paths(a, b) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(
-        a[key].hops == b[key].hops and costs_close(a[key].total_cost, b[key].total_cost)
-        for key in a
-    )

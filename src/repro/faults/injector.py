@@ -15,15 +15,10 @@ pending.  It exposes:
   notifying the attached service which resource failed or recovered
   (the epoch cache patches exactly that resource in place), and logging
   to an optional observer (:class:`~repro.wdm.events.EventLog` is one).
-* :meth:`~FaultInjector.worker_hook` — the engine-side injection point:
-  installed as ``QueryEngine.fault_hook``, it consumes pending latency /
-  exception faults inside worker threads, right where a flaky backend
-  would fail.
-
-:class:`ChunkCrash` is the process-pool analogue: a picklable callable
-passed as ``fault_hook`` to
-:func:`repro.core.parallel.route_all_pairs_parallel` that kills one
-worker chunk mid-run.
+* :meth:`~FaultInjector.worker_hook` — the backend-side injection point:
+  installed as ``RoutingService.fault_hook``, it consumes pending
+  latency / exception faults before a backend attempt, right where a
+  flaky backend would fail.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.conversion import NoConversion
@@ -42,28 +36,9 @@ from repro.faults.plan import FaultEvent
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.service import RoutingService
 
-__all__ = ["FaultInjector", "ChunkCrash"]
+__all__ = ["FaultInjector"]
 
 NodeId = Hashable
-
-
-@dataclass(frozen=True)
-class ChunkCrash:
-    """Picklable worker-crash fault for process-pool runs.
-
-    Passed as ``fault_hook`` to
-    :func:`repro.core.parallel.route_all_pairs_parallel`; raises inside
-    the worker handling chunk *crash_index*, so the pool surfaces a
-    remote :class:`~repro.exceptions.InjectedFaultError`.
-    """
-
-    crash_index: int = 0
-
-    def __call__(self, index: int) -> None:
-        if index == self.crash_index:
-            raise InjectedFaultError(
-                f"injected worker crash in chunk {index}"
-            )
 
 
 class FaultInjector:
@@ -109,7 +84,6 @@ class FaultInjector:
         self._failed_converters: set[NodeId] = set()
         #: Engine-level faults pending consumption by :meth:`worker_hook`.
         self._engine_faults: deque[tuple[str, float]] = deque()
-        self._pending_crashes = 0
         self._service: "RoutingService | None" = None
         #: Replayed multicast membership events, in application order.
         self.membership_events: list[FaultEvent] = []
@@ -122,10 +96,10 @@ class FaultInjector:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, service: "RoutingService") -> None:
-        """Route invalidation notifications into *service* and install the
-        worker-side fault hook on its engine."""
+        """Route invalidation notifications into *service* and install
+        :meth:`worker_hook` as its backend fault hook."""
         self._service = service
-        service.engine.fault_hook = self.worker_hook
+        service.fault_hook = self.worker_hook
 
     # -- state queries --------------------------------------------------------
 
@@ -146,16 +120,7 @@ class FaultInjector:
                 "channels": len(self._failed_channels),
                 "converters": len(self._failed_converters),
                 "engine_pending": len(self._engine_faults),
-                "crashes_pending": self._pending_crashes,
             }
-
-    def take_pending_crash(self) -> bool:
-        """Consume one pending worker-crash fault (used by the soak)."""
-        with self._lock:
-            if self._pending_crashes:
-                self._pending_crashes -= 1
-                return True
-            return False
 
     # -- degraded view --------------------------------------------------------
 
@@ -215,8 +180,6 @@ class FaultInjector:
             elif kind == "exception":
                 for _ in range(max(1, int(event.amount or 1))):
                     self._engine_faults.append(("exception", 0.0))
-            elif kind == "worker_crash":
-                self._pending_crashes += 1
             elif kind in ("member_join", "member_leave"):
                 # Membership churn never touches network resources; the
                 # injector just records and forwards it.
@@ -263,7 +226,7 @@ class FaultInjector:
             service.notify_converter_degraded(event.node)
         elif kind == "converter_recover":
             service.notify_converter_recovered(event.node)
-        # Engine-level faults (latency/exception/worker_crash) and
+        # Engine-level faults (latency/exception) and
         # membership events (member_join/member_leave) do not change the
         # network; no epoch bump.
 
@@ -272,10 +235,10 @@ class FaultInjector:
     def worker_hook(self) -> None:
         """Consume one pending engine fault; called per backend attempt.
 
-        Installed as ``QueryEngine.fault_hook`` by :meth:`attach`.
+        Installed as ``RoutingService.fault_hook`` by :meth:`attach`.
         Latency faults sleep; exception faults raise
         :class:`~repro.exceptions.InjectedFaultError` (a
-        :class:`~repro.exceptions.TransientBackendError`, so the engine's
+        :class:`~repro.exceptions.TransientBackendError`, so the service's
         retry/breaker hardening engages exactly as for a real flaky
         backend).
         """

@@ -18,15 +18,12 @@ Event kinds
     The converter bank at ``node`` dies — the node falls back to
     wavelength continuity (:class:`~repro.core.conversion.NoConversion`).
 ``latency``
-    The next routing call inside a query-engine worker sleeps ``amount``
+    The next backend call of the routing service sleeps ``amount``
     seconds before answering (slow backend).
 ``exception``
     The next ``amount`` routing calls raise
     :class:`~repro.exceptions.InjectedFaultError` (crashing backend —
     exercises retry, breaker, and degraded serving).
-``worker_crash``
-    One worker process in a :func:`repro.core.parallel` run raises
-    mid-chunk (exercises pool error propagation and recovery).
 ``member_join`` / ``member_leave``
     Multicast group-membership churn: ``node`` joins or leaves the group
     indexed by ``amount`` (reusing the existing numeric field keeps the
@@ -75,16 +72,15 @@ NodeId = Hashable
 SCHEDULE_FORMAT = 2
 
 #: Failure kinds a generated plan can draw from (recoveries are implied).
-#: Deliberately unchanged by format 2: the cycling draw order in
-#: :func:`generate_plan` indexes into this tuple, so appending here would
-#: silently reshuffle every seeded plan already pinned in CI.
+#: The cycling draw order in :func:`generate_plan` indexes into this
+#: tuple, so changing it reshuffles every plan drawn with the default
+#: kinds; plans drawn with explicit kinds are unaffected.
 FAULT_KINDS = (
     "link",
     "channel",
     "converter",
     "latency",
     "exception",
-    "worker_crash",
 )
 
 #: Multicast membership event kinds (format 2), drawn only by
@@ -99,7 +95,7 @@ _RESOURCE_KINDS = ("link", "channel", "converter")
 _KNOWN_EVENT_KINDS = frozenset(
     [f"{k}_fail" for k in _RESOURCE_KINDS]
     + [f"{k}_recover" for k in _RESOURCE_KINDS]
-    + ["latency", "exception", "worker_crash"]
+    + ["latency", "exception"]
     + list(MEMBER_KINDS)
 )
 
@@ -344,12 +340,10 @@ def generate_plan(
             events.append(
                 FaultEvent(at, "latency", amount=rng.uniform(0.005, 0.03))
             )
-        elif kind == "exception":
+        else:  # exception
             events.append(
                 FaultEvent(at, "exception", amount=float(rng.randint(1, 3)))
             )
-        else:  # worker_crash
-            events.append(FaultEvent(at, "worker_crash"))
         drawn += 1
 
     return FaultPlan(

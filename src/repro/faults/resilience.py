@@ -1,7 +1,7 @@
 """Retry and circuit-breaker policies for the serving stack.
 
-Two small, deterministic-on-demand primitives the query engine wires
-around its routing backend:
+Two small, deterministic-on-demand primitives the routing service wires
+around its backend:
 
 * :class:`RetryPolicy` — exponential backoff with **full jitter**
   (AWS-style: each delay is drawn uniformly from ``[0, min(cap,
@@ -13,8 +13,7 @@ around its routing backend:
 * :class:`CircuitBreaker` — the classic closed → open → half-open state
   machine.  After ``failure_threshold`` consecutive backend failures the
   breaker *opens* and fails calls fast with
-  :class:`~repro.exceptions.CircuitOpenError` (no backend work, no
-  queue time).  After ``reset_timeout`` seconds one probe is let
+  :class:`~repro.exceptions.CircuitOpenError` (no backend work).  After ``reset_timeout`` seconds one probe is let
   through (*half-open*); success closes the breaker, failure re-opens
   it.
 
@@ -98,7 +97,7 @@ class RetryPolicy:
         error re-raised (the caller's deadline machinery turns that into
         a :class:`~repro.exceptions.DeadlineExceeded` as appropriate).
         *on_retry* is called with ``(attempt, error)`` before each sleep
-        — the engine uses it to count retries in metrics.
+        — the service uses it to count retries in metrics.
         """
         attempt = 0
         while True:
@@ -129,12 +128,11 @@ class CircuitBreaker:
     clock:
         Injectable monotonic clock (soaks drive this deterministically).
     on_transition:
-        Optional ``(old_state, new_state)`` callback — the engine wires
-        this into metrics; the chaos soak records the sequence to assert
-        the open/half-open/close schedule.
+        Optional ``(old_state, new_state)`` callback — the chaos soak
+        records the sequence to assert the open/half-open/close schedule.
 
-    Thread safety: all state changes happen under an internal lock; the
-    engine's worker pool shares one instance.
+    Thread safety: all state changes happen under an internal lock, so
+    every thread calling one service shares one instance.
     """
 
     CLOSED = "closed"

@@ -3,8 +3,8 @@
 The pieces (see docs/serving.md):
 
 * :mod:`repro.server.protocol` — the length-prefixed binary frame format
-  (``ROUTE``/``ROUTE_BATCH``/``ALL_PAIRS_CHUNK``/``PATCH``/``SNAPSHOT``/
-  ``STATS``/``SHUTDOWN``) plus the wire encoding of semilightpaths.
+  (``ROUTE``/``ROUTE_BATCH``/``PATCH``/``SNAPSHOT``/``STATS``/
+  ``SHUTDOWN``) plus the wire encoding of semilightpaths.
 * :mod:`repro.server.server` — :class:`RouterServer`: publishes ``G_all``
   once into a :class:`~repro.shortestpath.shared.SharedCSR` segment, owns
   a pool of warm worker processes attached zero-copy, applies ``PATCH``
@@ -14,8 +14,7 @@ The pieces (see docs/serving.md):
   whose ``route`` matches the in-process router's contract (returns a
   :class:`~repro.core.semilightpath.Semilightpath`, raises
   :class:`~repro.exceptions.NoPathError`) so it drops in as a service
-  backend, and whose ``route_all_pairs(workers=)`` fans chunk requests
-  across connections.
+  backend, and whose ``route_batch`` answers many pairs in one frame.
 """
 
 from repro.server.client import RouterClient

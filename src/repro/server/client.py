@@ -10,23 +10,14 @@ cache).  Transient failures (a worker crashing mid-request surfaces as
 :class:`~repro.exceptions.WorkerCrashError`) are retried through the
 existing :class:`~repro.faults.resilience.RetryPolicy`; everything else
 maps to :class:`~repro.exceptions.RemoteRouterError`.
-
-``route_all_pairs(workers=)`` reproduces the serial
-:meth:`~repro.core.routing.LiangShenRouter.route_all_pairs` result
-byte-identically: sources are split into the same contiguous chunks as
-:func:`repro.core.parallel.route_all_pairs_parallel`, fanned over
-*workers* client connections (the server's pool parallelizes only across
-in-flight requests), and merged in chunk order.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from queue import Empty, Queue
 from typing import Any, Hashable
 
-from repro.core.routing import AllPairsResult, merge_all_pairs
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
     NoPathError,
@@ -188,71 +179,6 @@ class RouterClient:
         reply = self._call_retrying(Op.ROUTE_BATCH, list(pairs))
         return [protocol.decode_path(wire) for wire in reply["paths"]]
 
-    def route_all_pairs(
-        self,
-        workers: int | None = None,
-        chunks_per_worker: int = 4,
-    ) -> AllPairsResult:
-        """All ``n(n-1)`` pairs via chunked requests; serial-identical.
-
-        *workers* counts client-side connections issuing chunks
-        concurrently (defaults to the server's worker count); the
-        server's pool does the actual tree runs.
-        """
-        from repro.core.parallel import _chunk
-
-        snapshot = self.snapshot()
-        sources = snapshot["sources"]
-        if workers is None:
-            workers = snapshot["workers"]
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        chunks = _chunk(sources, workers * chunks_per_worker)
-        jobs: Queue = Queue()
-        for index, chunk in enumerate(chunks):
-            jobs.put((index, chunk))
-        results: list[Any] = [None] * len(chunks)
-        errors: list[Exception] = []
-
-        def drain() -> None:
-            client = RouterClient(
-                self._address, retry=self._retry, timeout=self._timeout
-            )
-            try:
-                while not errors:
-                    try:
-                        index, chunk = jobs.get_nowait()
-                    except Empty:
-                        return
-                    reply = client._call_retrying(
-                        Op.ALL_PAIRS_CHUNK, (index, chunk)
-                    )
-                    results[index] = reply["chunk"]
-            except Exception as exc:  # noqa: BLE001 - re-raised in the caller
-                errors.append(exc)
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=drain, name=f"all-pairs-{i}", daemon=True)
-            for i in range(min(workers, len(chunks)))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
-        chunks = []
-        for _index, trees, settled, relaxations, heap_totals in results:
-            decoded = [
-                (source, {t: protocol.decode_path(w) for t, w in tree})
-                for source, tree in trees
-            ]
-            chunks.append((decoded, settled, relaxations, heap_totals))
-        return merge_all_pairs(snapshot["sizes"], chunks)
-
     # -- control plane --------------------------------------------------------
 
     def patch(
@@ -280,7 +206,7 @@ class RouterClient:
         )
 
     def snapshot(self) -> dict[str, Any]:
-        """Static facts: segment name/sizes, sources, epoch, worker count."""
+        """Static facts: segment name and size, epochs, worker count."""
         return self._call_retrying(Op.SNAPSHOT)
 
     def stats(self) -> dict[str, Any]:

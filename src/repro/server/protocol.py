@@ -59,9 +59,9 @@ MAGIC = b"RSRV"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBHI")
 HEADER_SIZE = _HEADER.size
-#: Hard cap on one frame's payload; an ALL_PAIRS_CHUNK reply for the
-#: largest bench network is ~2 MiB, so 64 MiB leaves ample headroom while
-#: still rejecting a garbage length field before any allocation.
+#: Hard cap on one frame's payload: an input check that rejects a garbage
+#: length field before any allocation.  A ROUTE_BATCH over every ordered
+#: pair of the largest bench network stays far below it.
 MAX_PAYLOAD = 64 * 1024 * 1024
 
 
@@ -70,7 +70,6 @@ class Op(enum.IntEnum):
 
     ROUTE = 0x01
     ROUTE_BATCH = 0x02
-    ALL_PAIRS_CHUNK = 0x03
     PATCH = 0x04
     SNAPSHOT = 0x05
     STATS = 0x06

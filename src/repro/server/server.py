@@ -50,6 +50,7 @@ import socket
 import tempfile
 import threading
 import time
+import weakref
 from queue import Empty
 from typing import TYPE_CHECKING, Any, Hashable
 
@@ -100,9 +101,10 @@ def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
     target settles; later requests on that source resume the same tree,
     so within one epoch each source's search runs at most once.
 
-    *sockets* are the server's listener and connections as this forked
-    child inherited them; the worker closes its copies at once, so only
-    the server process holds them and its death gives clients EOF.
+    *sockets* are the listeners and connections of every live server in
+    the parent process as this forked child inherited them; the worker
+    closes its copies at once, so only the server process holds them and
+    its death gives clients EOF.
     """
     import signal
 
@@ -152,30 +154,6 @@ def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
 
             value, epoch = shared.read_stable(compute)
             return {"paths": value, "epoch": epoch}
-        if op == Op.ALL_PAIRS_CHUNK:
-            index_, sources = payload
-
-            def compute():
-                refresh()
-                from repro.core.routing import run_trees
-                from repro.shortestpath.flat import ScratchBuffers
-
-                scratch = state.get("scratch")
-                if scratch is None:
-                    scratch = state["scratch"] = ScratchBuffers(
-                        aux.graph.num_nodes
-                    )
-                trees, settled, relaxations, heap_totals = run_trees(
-                    aux, sources, "flat", scratch
-                )
-                wire = [
-                    (s, [(t, protocol.encode_path(p)) for t, p in tree.items()])
-                    for s, tree in trees
-                ]
-                return (index_, wire, settled, relaxations, heap_totals)
-
-            value, epoch = shared.read_stable(compute)
-            return {"chunk": value, "epoch": epoch}
         if op == Op.SLEEP:
             time.sleep(float(payload))
             return {"slept": float(payload)}
@@ -245,6 +223,12 @@ class RouterServer:
         replies to flush) before tearing the pool down.
     """
 
+    #: Every started, not yet closed server in this process.  A forked
+    #: worker inherits the sockets of all of them (a ``ShardManager``
+    #: runs every replica in one process), so it is handed all of them.
+    _live: "weakref.WeakSet[RouterServer]" = weakref.WeakSet()
+    _live_lock = threading.Lock()
+
     def __init__(
         self,
         network: "WDMNetwork",
@@ -304,7 +288,6 @@ class RouterServer:
         # attached worker sees them.
         self._aux = attach_all_pairs_graph(self._shared)
         self._delta = DeltaOverlay(self._aux)
-        self._sources = list(self._aux.source_ids)
 
         ctx_name = (
             "fork"
@@ -339,6 +322,8 @@ class RouterServer:
         listener.listen(64)
         listener.settimeout(0.2)
         self._listener = listener
+        with RouterServer._live_lock:
+            RouterServer._live.add(self)
         for index in range(self._num_workers):
             self._workers.append(self._spawn_worker(index))
         for name, fn in (
@@ -527,6 +512,8 @@ class RouterServer:
         self._tasks.close()
         self._results.close()
         self._shared.unlink()
+        with RouterServer._live_lock:
+            RouterServer._live.discard(self)
         if self._uds is not None and os.path.exists(self._uds):
             try:
                 os.unlink(self._uds)
@@ -544,11 +531,17 @@ class RouterServer:
 
     def _spawn_worker(self, index: int):
         # A forked child inherits every socket this process holds and is
-        # handed them to close; a spawned child inherits none.
+        # handed the listeners and connections of every live server to
+        # close through their socket objects; a spawned child inherits
+        # none.
         sockets: list[socket.socket] = []
         if self._ctx.get_start_method() == "fork":
-            with self._lock:
-                sockets = [self._listener, *self._connections]
+            with RouterServer._live_lock:
+                servers = list(RouterServer._live)
+            for server in servers:
+                with server._lock:
+                    sockets.append(server._listener)
+                    sockets.extend(server._connections)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -775,8 +768,6 @@ class RouterServer:
             "epoch": self._shared.epoch,
             "delta_epoch": self._delta.delta_epoch,
             "masked_edges": self._delta.masked_edges,
-            "sizes": self._aux.sizes,
-            "sources": list(self._sources),
             "workers": self._num_workers,
         }
 
@@ -806,7 +797,7 @@ class RouterServer:
 
     def _dispatch(self, op: Op, payload: Any):
         self._requests += 1
-        if op in (Op.ROUTE, Op.ROUTE_BATCH, Op.ALL_PAIRS_CHUNK):
+        if op in (Op.ROUTE, Op.ROUTE_BATCH):
             return self._submit(op, payload)
         if op == Op.SLEEP:
             if not self._debug:

@@ -37,7 +37,7 @@ Either way every answer is hop-identical to a cold
 view.
 
 Thread safety: all public methods take an internal lock; the cache may
-be shared by the query engine's worker pool.
+be shared by every thread calling one routing service.
 """
 
 from __future__ import annotations
@@ -363,25 +363,6 @@ class EpochRouterCache:
         if path is None:
             raise NoPathError(source, target)
         return path, epoch
-
-    def route_batch(
-        self, source: NodeId, targets: "list[NodeId]"
-    ) -> list[tuple["Semilightpath | None", int]]:
-        """Answer a same-source batch under **one** lock acquisition.
-
-        The engine's coalesced dispatch uses this to serve a claimed
-        batch with one refresh check and one tree fetch instead of
-        re-entering the lock (and re-walking the refresh logic) per
-        request.  Returns ``(path, built_epoch)`` per target in order,
-        with ``None`` for unreachable targets — the caller maps those to
-        :class:`~repro.exceptions.NoPathError` per request.  Callers must
-        filter out ``target == source`` entries first (they are a request
-        error, not an unreachability answer).
-        """
-        with self._lock:
-            forest = self._forest(source, targets[0] if targets else None)
-            epoch = self._built_epoch
-            return [(self._path(forest, target), epoch) for target in targets]
 
     def route_rebuild(
         self, source: NodeId, target: NodeId

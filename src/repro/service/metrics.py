@@ -1,7 +1,7 @@
 """Thread-safe metrics primitives for the routing service.
 
 The service layer needs cheap observability: how often the epoch cache
-hits, how deep the request queue runs, how long admissions take.  This
+hits, how often the backend fails, how long admissions take.  This
 module provides the three classic instrument kinds — :class:`Counter`,
 :class:`Gauge`, :class:`Histogram` — plus a :class:`MetricsRegistry`
 that names them, snapshots them atomically, and aggregates the
@@ -53,7 +53,7 @@ class Counter:
 
 
 class Gauge:
-    """An instantaneous level (queue depth, cache epoch, live workers)."""
+    """An instantaneous level (cache epoch, breaker state, store size)."""
 
     __slots__ = ("_lock", "_value")
 

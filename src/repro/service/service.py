@@ -1,10 +1,12 @@
-"""The routing-service facade: cache + engine + metrics in one object.
+"""The routing-service facade: cache + guarded backend call + metrics.
 
 :class:`RoutingService` is the serving layer's front door.  It owns an
 :class:`~repro.service.cache.EpochRouterCache` (epoch-versioned ``G_all``
-and per-source trees), a :class:`~repro.service.engine.QueryEngine`
-(worker pool, bounded queue, deadlines, coalescing) and a
-:class:`~repro.service.metrics.MetricsRegistry` wired through both.
+and per-source trees) and a :class:`~repro.service.metrics.MetricsRegistry`,
+and answers every query on its caller's thread: a deadline check, then
+one backend call guarded by the optional circuit breaker, the chaos
+layer's ``fault_hook`` and the optional retry policy.  Callers may share
+one service across threads; the cache serializes its own state.
 
 Static serving::
 
@@ -23,13 +25,13 @@ Degraded-mode serving
 :meth:`RoutingService.route_resilient` answers through a three-step
 degrade chain and reports *how* it answered in a :class:`RouteOutcome`:
 
-1. **fresh** — the normal engine path (retry/backoff and circuit breaker
-   included when configured);
+1. **fresh** — the normal guarded path (retry/backoff and circuit
+   breaker included when configured);
 2. **stale** — when the backend fails transiently or the breaker is
    open, the last-good answer for the pair is served with an explicit
    staleness flag (``outcome.stale``) and counted under
-   ``service.stale_served``; a background revalidation is submitted so
-   the cache re-warms as soon as the backend heals;
+   ``service.stale_served``; the next fresh answer for the pair
+   replaces it;
 3. **rebuild** — with no last-good answer, the query falls back to a
    shared-state-free Theorem-1 rebuild on a fresh snapshot
    (:meth:`~repro.service.cache.EpochRouterCache.route_rebuild`), which
@@ -49,13 +51,11 @@ from typing import TYPE_CHECKING, Callable, Hashable
 from repro.core.semilightpath import Semilightpath
 from repro.exceptions import (
     CircuitOpenError,
+    DeadlineExceeded,
     NoPathError,
-    ServiceClosedError,
-    ServiceOverloadError,
     TransientBackendError,
 )
 from repro.service.cache import EpochRouterCache
-from repro.service.engine import QueryEngine, QueryFuture
 from repro.service.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,17 +96,12 @@ class RoutingService:
         A static :class:`~repro.core.network.WDMNetwork`, or a callable
         returning the current network view (called once per cache
         rebuild).
-    workers:
-        Worker threads for the query engine; ``0`` serves synchronously
-        on the calling thread.
-    queue_limit:
-        Pending-request bound; excess submissions raise
-        :class:`~repro.exceptions.ServiceOverloadError`.
     metrics:
         Bring-your-own registry; a private one is created otherwise.
     retry:
         Optional :class:`~repro.faults.resilience.RetryPolicy` for
-        transient backend failures, forwarded to the engine.
+        transient backend failures (off by default: plain serving fails
+        fast).
     breaker:
         Optional :class:`~repro.faults.resilience.CircuitBreaker` around
         the routing backend; its state is published as the
@@ -114,19 +109,20 @@ class RoutingService:
     last_good_limit:
         Bound on the last-good answer store (LRU-evicted).
 
+    The public ``fault_hook`` attribute, when set, is called before
+    every backend attempt — the chaos layer's injection point
+    (:meth:`repro.faults.injector.FaultInjector.attach` installs it).
+
     Example
     -------
     >>> from repro.topology.reference import paper_figure1_network
-    >>> with RoutingService(paper_figure1_network(), workers=0) as service:
-    ...     service.route(1, 7).total_cost
+    >>> RoutingService(paper_figure1_network()).route(1, 7).total_cost
     2.0
     """
 
     def __init__(
         self,
         network: "WDMNetwork | Callable[[], WDMNetwork]",
-        workers: int = 4,
-        queue_limit: int = 256,
         metrics: MetricsRegistry | None = None,
         retry: "RetryPolicy | None" = None,
         breaker: "CircuitBreaker | None" = None,
@@ -136,14 +132,9 @@ class RoutingService:
             raise ValueError("last_good_limit must be positive")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = EpochRouterCache(network, metrics=self.metrics)
-        self.engine = QueryEngine(
-            self.cache,
-            workers=workers,
-            queue_limit=queue_limit,
-            metrics=self.metrics,
-            retry=retry,
-            breaker=breaker,
-        )
+        self.retry = retry
+        self.breaker = breaker
+        self.fault_hook: Callable[[], None] | None = None
         self._last_good_limit = last_good_limit
         self._last_good: OrderedDict[
             tuple[NodeId, NodeId], tuple[Semilightpath, int]
@@ -162,16 +153,13 @@ class RoutingService:
     ) -> Semilightpath:
         """Optimal semilightpath at the current epoch.
 
-        Raises :class:`~repro.exceptions.NoPathError` when unreachable,
-        :class:`~repro.exceptions.ServiceOverloadError` on a full queue,
-        :class:`~repro.exceptions.DeadlineExceeded` when *timeout*
-        elapses before an answer arrives.
+        Raises :class:`~repro.exceptions.NoPathError` when unreachable and
+        :class:`~repro.exceptions.DeadlineExceeded` when *timeout* has
+        already elapsed before the backend is called.
         """
         start = time.monotonic()
         try:
-            path, epoch = self.engine.route_with_epoch(
-                source, target, timeout=timeout
-            )
+            path, epoch = self._serve(source, target, start, timeout)
             self._remember(source, target, path, epoch)
             return path
         finally:
@@ -184,18 +172,16 @@ class RoutingService:
     ) -> RouteOutcome:
         """Degraded-mode routing: fresh, else stale, else rebuild.
 
-        Semantic outcomes (:class:`~repro.exceptions.NoPathError`,
-        deadline/overload rejections) propagate unchanged — degradation
-        only engages when the *backend* fails
+        Semantic outcomes (:class:`~repro.exceptions.NoPathError`, a
+        missed deadline) propagate unchanged — degradation only engages
+        when the *backend* fails
         (:class:`~repro.exceptions.TransientBackendError` surviving the
-        engine's retries, or :class:`~repro.exceptions.CircuitOpenError`
-        from an open breaker).  See the module docstring for the chain.
+        retries, or :class:`~repro.exceptions.CircuitOpenError` from an
+        open breaker).  See the module docstring for the chain.
         """
         start = time.monotonic()
         try:
-            path, epoch = self.engine.route_with_epoch(
-                source, target, timeout=timeout
-            )
+            path, epoch = self._serve(source, target, start, timeout)
             self._remember(source, target, path, epoch)
             return RouteOutcome(path=path, epoch=epoch, mode="fresh")
         except (TransientBackendError, CircuitOpenError):
@@ -208,14 +194,84 @@ class RoutingService:
                 (time.monotonic() - start) * 1e3
             )
 
+    def _serve(
+        self,
+        source: NodeId,
+        target: NodeId,
+        start: float,
+        timeout: float | None,
+    ) -> tuple[Semilightpath, int]:
+        """Deadline check, then one guarded backend call; counted.
+
+        An expired request raises the typed
+        :class:`~repro.exceptions.DeadlineExceeded` with its elapsed time
+        (``engine.deadline_exceeded``); retries never back off past the
+        deadline.  ``engine.served`` and ``engine.no_path`` count the
+        backend's answers.
+        """
+        deadline = None if timeout is None else start + timeout
+        if deadline is not None:
+            now = time.monotonic()
+            if now >= deadline:
+                self.metrics.counter("engine.deadline_exceeded").inc()
+                raise DeadlineExceeded(source, target, elapsed=now - start)
+        try:
+            result = self._call_backend(source, target, deadline)
+        except NoPathError:
+            self.metrics.counter("engine.no_path").inc()
+            raise
+        self.metrics.counter("engine.served").inc()
+        return result
+
+    def _call_backend(
+        self, source: NodeId, target: NodeId, deadline: float | None
+    ) -> tuple[Semilightpath, int]:
+        """One guarded backend call: breaker admission, fault hook, retry.
+
+        :class:`~repro.exceptions.NoPathError` counts as backend *success*
+        for the breaker (the backend answered; unreachable is a valid
+        answer).  :class:`~repro.exceptions.CircuitOpenError` from the
+        admission check propagates without retry — failing fast is the
+        point of the breaker.
+        """
+        breaker = self.breaker
+
+        def attempt() -> tuple[Semilightpath, int]:
+            if breaker is not None:
+                breaker.before_call()
+            try:
+                if self.fault_hook is not None:
+                    self.fault_hook()
+                result = self.cache.route_with_epoch(source, target)
+            except TransientBackendError:
+                if breaker is not None:
+                    breaker.record_failure()
+                self.metrics.counter("engine.backend_faults").inc()
+                raise
+            except NoPathError:
+                if breaker is not None:
+                    breaker.record_success()
+                raise
+            if breaker is not None:
+                breaker.record_success()
+            return result
+
+        if self.retry is None:
+            return attempt()
+
+        def on_retry(attempt_index: int, exc: BaseException) -> None:
+            del attempt_index, exc
+            self.metrics.counter("engine.retries").inc()
+
+        return self.retry.call(attempt, deadline=deadline, on_retry=on_retry)
+
     def _degraded(self, source: NodeId, target: NodeId) -> RouteOutcome | None:
-        """Stale-while-revalidate, then shared-state-free rebuild."""
+        """The last-good answer, else a shared-state-free rebuild."""
         with self._last_good_lock:
             entry = self._last_good.get((source, target))
         if entry is not None:
             path, epoch = entry
             self.metrics.counter("service.stale_served").inc()
-            self._revalidate(source, target)
             return RouteOutcome(path=path, epoch=epoch, mode="stale")
         try:
             path, snapshot = self.cache.route_rebuild(source, target)
@@ -223,16 +279,6 @@ class RoutingService:
             return None  # rebuild hit the same fault; caller re-raises fresh error
         self.metrics.counter("service.rebuild_fallback").inc()
         return RouteOutcome(path=path, epoch=-1, mode="rebuild", snapshot=snapshot)
-
-    def _revalidate(self, source: NodeId, target: NodeId) -> None:
-        """Fire-and-forget refresh behind a stale answer (workers only)."""
-        if self.engine.num_workers == 0:
-            return
-        try:
-            self.engine.submit(source, target)
-            self.metrics.counter("service.revalidations").inc()
-        except (ServiceOverloadError, ServiceClosedError):
-            pass  # shedding revalidation load is fine; staleness was flagged
 
     def _remember(
         self, source: NodeId, target: NodeId, path: Semilightpath, epoch: int
@@ -254,12 +300,6 @@ class RoutingService:
             return self.route(source, target, timeout=timeout)
         except NoPathError:
             return None
-
-    def submit(
-        self, source: NodeId, target: NodeId, timeout: float | None = None
-    ) -> QueryFuture:
-        """Asynchronous submission; see :meth:`QueryEngine.submit`."""
-        return self.engine.submit(source, target, timeout=timeout)
 
     def cost(self, source: NodeId, target: NodeId) -> float:
         """Optimal cost at the current epoch (``inf`` when unreachable)."""
@@ -325,7 +365,7 @@ class RoutingService:
         """The converter bank at *node* recovered."""
         self.cache.mark_converter_recovered(node)
 
-    # -- reporting / lifecycle -----------------------------------------------
+    # -- reporting -----------------------------------------------------------
 
     def metrics_snapshot(self) -> dict[str, object]:
         """All service metrics as a flat dict."""
@@ -334,13 +374,3 @@ class RoutingService:
     def render_metrics(self) -> str:
         """Human-readable metrics report."""
         return self.metrics.render()
-
-    def close(self) -> None:
-        """Shut down the worker pool (queued requests are completed)."""
-        self.engine.shutdown()
-
-    def __enter__(self) -> "RoutingService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -10,7 +10,6 @@ oracle                                hop-exact  applicability
 ====================================  =========  ==========================
 ``liang:{overlay,rebuild}:<kernel>``  yes        always (8 combinations)
 ``liang:all-pairs:serial``            yes        always
-``liang:all-pairs:parallel``          yes        always (2-process pool)
 ``liang:delta:churn``                 yes        always
 ``cache:incremental``                 yes        always
 ``batch:lazy-forest``                 yes        always
@@ -120,16 +119,13 @@ def _liang_single(heap: str, overlay: bool) -> Callable[["WDMNetwork"], RouteFn]
     return prepare
 
 
-def _liang_all_pairs(workers: int | None) -> Callable[["WDMNetwork"], RouteFn]:
-    def prepare(network: "WDMNetwork") -> RouteFn:
-        result = LiangShenRouter(network).route_all_pairs(workers=workers)
+def _liang_all_pairs(network: "WDMNetwork") -> RouteFn:
+    result = LiangShenRouter(network).route_all_pairs()
 
-        def route(source: NodeId, target: NodeId) -> Semilightpath | None:
-            return result.paths.get((source, target))
+    def route(source: NodeId, target: NodeId) -> Semilightpath | None:
+        return result.paths.get((source, target))
 
-        return route
-
-    return prepare
+    return route
 
 
 def _cfz(engine: str) -> Callable[["WDMNetwork"], RouteFn]:
@@ -324,12 +320,8 @@ def _distributed(network: "WDMNetwork") -> RouteFn:
     return _none_on_nopath(lambda s, t: router.route(s, t).path)
 
 
-def default_oracles(parallel_workers: int = 2) -> tuple[Oracle, ...]:
-    """The full matrix, reference oracle (``liang:overlay:flat``) first.
-
-    ``parallel_workers=0`` drops the process-pool oracle (useful inside
-    environments where spawning pools per scenario is too slow).
-    """
+def default_oracles() -> tuple[Oracle, ...]:
+    """The full matrix, reference oracle (``liang:overlay:flat``) first."""
     oracles: list[Oracle] = []
     for overlay in (True, False):
         mode = "overlay" if overlay else "rebuild"
@@ -344,7 +336,7 @@ def default_oracles(parallel_workers: int = 2) -> tuple[Oracle, ...]:
     oracles.append(
         Oracle(
             name="liang:all-pairs:serial",
-            prepare=_liang_all_pairs(None),
+            prepare=_liang_all_pairs,
             exact_hops=True,
         )
     )
@@ -369,14 +361,6 @@ def default_oracles(parallel_workers: int = 2) -> tuple[Oracle, ...]:
             exact_hops=True,
         )
     )
-    if parallel_workers > 1:
-        oracles.append(
-            Oracle(
-                name="liang:all-pairs:parallel",
-                prepare=_liang_all_pairs(parallel_workers),
-                exact_hops=True,
-            )
-        )
     oracles.append(Oracle(name="cfz:dense", prepare=_cfz("dense")))
     oracles.append(Oracle(name="cfz:heap", prepare=_cfz("heap")))
     oracles.append(Oracle(name="brute-force", prepare=_brute_force))

@@ -5,8 +5,8 @@ per query over an addressable binary heap.  The overhauled default
 answers them on the shared ``G'`` overlay with the flat kernel.  On
 every reference topology the two must agree **exactly** — same float
 cost bit-for-bit and, because all kernels share the ascending-id
-tie-break, the same hop sequence — and the parallel all-pairs fan-out
-must reproduce the serial result verbatim.
+tie-break, the same hop sequence — and every pair of the serial
+all-pairs sweep must match its single-pair answer.
 """
 
 import pytest
@@ -92,12 +92,6 @@ def test_all_pairs_serial_parallel_and_single_agree(name):
     net = TOPOLOGIES[name]()
     router = LiangShenRouter(net)
     serial = router.route_all_pairs()
-    fanned = router.route_all_pairs(workers=2)
-    assert {p: (v.hops, v.total_cost) for p, v in serial.paths.items()} == {
-        p: (v.hops, v.total_cost) for p, v in fanned.paths.items()
-    }
-    assert serial.stats.settled == fanned.stats.settled
-    assert serial.stats.relaxations == fanned.stats.relaxations
     for (s, t), path in serial.paths.items():
         single = try_route(router, s, t)
         assert single is not None

@@ -153,6 +153,26 @@ class TestAllPairs:
         assert result.cost(7, 1) == math.inf
 
     def test_aggregate_stats(self, paper_net):
-        result = LiangShenRouter(paper_net).route_all_pairs()
+        router = LiangShenRouter(paper_net)
+        result = router.route_all_pairs()
         assert result.stats.settled > 0
         assert result.stats.relaxations > 0
+        assert result.stats.sizes == router.all_pairs_graph().sizes
+
+    @pytest.mark.parametrize("nodes", [[], ["solo"]])
+    def test_no_pairs_on_tiny_networks(self, nodes):
+        net = WDMNetwork(num_wavelengths=2)
+        net.add_nodes(nodes)
+        result = LiangShenRouter(net).route_all_pairs()
+        assert result.paths == {}
+        # A lone source settles only its own virtual terminal.
+        assert result.stats.settled == len(nodes)
+
+    @pytest.mark.parametrize("heap", ["binary", "pairing", "fibonacci"])
+    def test_every_kernel_gives_the_flat_paths(self, paper_net, heap):
+        flat = LiangShenRouter(paper_net).route_all_pairs()
+        other = LiangShenRouter(paper_net, heap=heap).route_all_pairs()
+        assert list(other.paths) == list(flat.paths)
+        assert {p: (v.hops, v.total_cost) for p, v in other.paths.items()} == {
+            p: (v.hops, v.total_cost) for p, v in flat.paths.items()
+        }

@@ -33,9 +33,7 @@ class TestSoakReport:
 
 class TestChaosSoak:
     def test_short_clean_soak_holds_all_invariants(self, paper_net):
-        soak = ChaosSoak(
-            paper_net, seed=7, duration=1.5, workers=2, num_faults=8
-        )
+        soak = ChaosSoak(paper_net, seed=7, duration=1.5, num_faults=8)
         report = soak.run()
         assert report.ok, "\n".join(report.violations)
         assert report.queries > 0
@@ -58,7 +56,6 @@ class TestChaosSoak:
             paper_net,
             seed=3,
             duration=0.8,
-            workers=2,
             num_faults=4,
             cost_perturbation=0.125,
             corpus_dir=corpus,
@@ -76,7 +73,6 @@ class TestChaosSoak:
             paper_net,
             seed=11,
             duration=1.0,
-            workers=2,
             num_faults=8,
         )
         report = soak.run()

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.core.conversion import NoConversion
 from repro.exceptions import InjectedFaultError
-from repro.faults.injector import ChunkCrash, FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent
 from repro.service.service import RoutingService
 from repro.wdm.events import EventLog
@@ -89,119 +87,98 @@ class TestEngineFaults:
         injector.worker_hook()  # drained
         assert injector.active_faults()["engine_pending"] == 0
 
-    def test_worker_crash_is_consumed_once(self, paper_net):
-        injector = FaultInjector(paper_net)
-        injector.apply(FaultEvent(0.1, "worker_crash"))
-        assert injector.take_pending_crash()
-        assert not injector.take_pending_crash()
-
-
-class TestChunkCrash:
-    def test_raises_only_on_matching_chunk(self):
-        crash = ChunkCrash(crash_index=2)
-        crash(0)
-        crash(1)
-        with pytest.raises(InjectedFaultError):
-            crash(2)
-
-    def test_round_trips_through_pickle(self):
-        clone = pickle.loads(pickle.dumps(ChunkCrash(crash_index=3)))
-        with pytest.raises(InjectedFaultError):
-            clone(3)
-
 
 class TestServiceWiring:
     def test_failures_bump_epochs_and_reroute(self, paper_net):
         injector = FaultInjector(paper_net)
-        with RoutingService(injector.network_view, workers=0) as service:
-            injector.attach(service)
-            baseline = service.route(1, 7)
-            hop = baseline.hops[0]
-            before = service.epoch
-            injector.apply(
-                FaultEvent(
-                    0.1,
-                    "channel_fail",
-                    tail=hop.tail,
-                    head=hop.head,
-                    wavelength=hop.wavelength,
-                )
+        service = RoutingService(injector.network_view)
+        injector.attach(service)
+        baseline = service.route(1, 7)
+        hop = baseline.hops[0]
+        before = service.epoch
+        injector.apply(
+            FaultEvent(
+                0.1,
+                "channel_fail",
+                tail=hop.tail,
+                head=hop.head,
+                wavelength=hop.wavelength,
             )
-            assert service.epoch == before + 1  # fine-grained degradation
-            rerouted = service.route(1, 7)
-            assert (hop.tail, hop.head, hop.wavelength) not in {
-                (h.tail, h.head, h.wavelength) for h in rerouted.hops
-            }
-            assert rerouted.total_cost >= baseline.total_cost
+        )
+        assert service.epoch == before + 1  # fine-grained degradation
+        rerouted = service.route(1, 7)
+        assert (hop.tail, hop.head, hop.wavelength) not in {
+            (h.tail, h.head, h.wavelength) for h in rerouted.hops
+        }
+        assert rerouted.total_cost >= baseline.total_cost
 
     def test_link_fail_degrades_both_directions(self, paper_net):
         injector = FaultInjector(paper_net)
-        with RoutingService(injector.network_view, workers=0) as service:
-            injector.attach(service)
-            before = service.epoch
-            # The fiber {1, 2} fails both directions, but only the
-            # directed links that exist in the base network are notified
-            # (the cache patches per resource); figure 1's 1->2
-            # has no reverse link, so the fail is a single notification.
-            injector.apply(FaultEvent(0.1, "link_fail", tail=1, head=2))
-            assert service.epoch == before + 1
-            injector.apply(FaultEvent(0.9, "link_recover", tail=1, head=2))
-            assert service.epoch == before + 2
+        service = RoutingService(injector.network_view)
+        injector.attach(service)
+        before = service.epoch
+        # The fiber {1, 2} fails both directions, but only the
+        # directed links that exist in the base network are notified
+        # (the cache patches per resource); figure 1's 1->2
+        # has no reverse link, so the fail is a single notification.
+        injector.apply(FaultEvent(0.1, "link_fail", tail=1, head=2))
+        assert service.epoch == before + 1
+        injector.apply(FaultEvent(0.9, "link_recover", tail=1, head=2))
+        assert service.epoch == before + 2
 
     def test_engine_faults_do_not_bump_epochs(self, paper_net):
         injector = FaultInjector(paper_net)
-        with RoutingService(injector.network_view, workers=0) as service:
-            injector.attach(service)
-            before = service.epoch
-            injector.apply(FaultEvent(0.1, "latency", amount=0.0))
-            injector.apply(FaultEvent(0.2, "exception", amount=1.0))
-            injector.apply(FaultEvent(0.3, "worker_crash"))
-            assert service.epoch == before
+        service = RoutingService(injector.network_view)
+        injector.attach(service)
+        before = service.epoch
+        injector.apply(FaultEvent(0.1, "latency", amount=0.0))
+        injector.apply(FaultEvent(0.2, "exception", amount=1.0))
+        assert service.epoch == before
 
     def test_incremental_service_round_trips_faults(self, paper_net):
         """A fail/recover cycle is served entirely by patches (after the
         initial build) and ends on the exact pristine routes."""
         injector = FaultInjector(paper_net)
-        with RoutingService(injector.network_view, workers=0) as service:
-            injector.attach(service)
-            baseline = service.route(1, 7)
-            hop = baseline.hops[0]
-            injector.apply(
-                FaultEvent(
-                    0.1,
-                    "channel_fail",
-                    tail=hop.tail,
-                    head=hop.head,
-                    wavelength=hop.wavelength,
-                )
+        service = RoutingService(injector.network_view)
+        injector.attach(service)
+        baseline = service.route(1, 7)
+        hop = baseline.hops[0]
+        injector.apply(
+            FaultEvent(
+                0.1,
+                "channel_fail",
+                tail=hop.tail,
+                head=hop.head,
+                wavelength=hop.wavelength,
             )
-            degraded = service.route(1, 7)
-            assert degraded.hops != baseline.hops
-            injector.apply(
-                FaultEvent(
-                    0.9,
-                    "channel_recover",
-                    tail=hop.tail,
-                    head=hop.head,
-                    wavelength=hop.wavelength,
-                )
+        )
+        degraded = service.route(1, 7)
+        assert degraded.hops != baseline.hops
+        injector.apply(
+            FaultEvent(
+                0.9,
+                "channel_recover",
+                tail=hop.tail,
+                head=hop.head,
+                wavelength=hop.wavelength,
             )
-            restored = service.route(1, 7)
-            assert restored.hops == baseline.hops
-            assert restored.total_cost == baseline.total_cost
-            counters = service.cache.counters()
-            assert counters["rebuilds"] == 1
-            assert counters["patches"] == 2
+        )
+        restored = service.route(1, 7)
+        assert restored.hops == baseline.hops
+        assert restored.total_cost == baseline.total_cost
+        counters = service.cache.counters()
+        assert counters["rebuilds"] == 1
+        assert counters["patches"] == 2
 
     def test_converter_faults_notify_incremental_service(self, paper_net):
         injector = FaultInjector(paper_net)
-        with RoutingService(injector.network_view, workers=0) as service:
-            injector.attach(service)
-            before = service.epoch
-            injector.apply(FaultEvent(0.1, "converter_fail", node=2))
-            assert service.epoch == before + 1
-            injector.apply(FaultEvent(0.9, "converter_recover", node=2))
-            assert service.epoch == before + 2
+        service = RoutingService(injector.network_view)
+        injector.attach(service)
+        before = service.epoch
+        injector.apply(FaultEvent(0.1, "converter_fail", node=2))
+        assert service.epoch == before + 1
+        injector.apply(FaultEvent(0.9, "converter_recover", node=2))
+        assert service.epoch == before + 2
 
     def test_observer_records_the_fault_history(self, paper_net):
         log = EventLog()

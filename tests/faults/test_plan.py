@@ -16,7 +16,7 @@ class TestFaultEvent:
 
     def test_ordering_is_by_time(self):
         late = FaultEvent(0.9, "link_fail", tail=1, head=2)
-        early = FaultEvent(0.1, "worker_crash")
+        early = FaultEvent(0.1, "exception", amount=1.0)
         assert sorted([late, early])[0] is early
 
     def test_dict_round_trip_drops_nones(self):
@@ -37,7 +37,7 @@ class TestFaultPlan:
     def test_events_sorted_on_construction(self):
         plan = FaultPlan(
             events=(
-                FaultEvent(0.9, "worker_crash"),
+                FaultEvent(0.9, "exception", amount=1.0),
                 FaultEvent(0.1, "latency", amount=0.01),
             )
         )
@@ -61,9 +61,9 @@ class TestFaultPlan:
     def test_due_window_is_half_open(self):
         plan = FaultPlan(
             events=(
-                FaultEvent(0.2, "worker_crash"),
-                FaultEvent(0.5, "worker_crash"),
-                FaultEvent(0.8, "worker_crash"),
+                FaultEvent(0.2, "exception", amount=1.0),
+                FaultEvent(0.5, "exception", amount=1.0),
+                FaultEvent(0.8, "exception", amount=1.0),
             )
         )
         assert [e.at for e in plan.due(0.2, 0.8)] == [0.5, 0.8]
@@ -92,7 +92,6 @@ class TestGeneratePlan:
         assert "converter_fail" in kinds
         assert "latency" in kinds
         assert "exception" in kinds
-        assert "worker_crash" in kinds
 
     def test_every_failure_recovers_before_plan_end(self, paper_net):
         plan = generate_plan(paper_net, seed=3, num_faults=20)

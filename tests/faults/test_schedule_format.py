@@ -50,12 +50,12 @@ class TestScheduleFormat:
         document = {
             "format": SCHEDULE_FORMAT,
             "events": [
-                {"at": 0.2, "kind": "worker_crash"},
+                {"at": 0.2, "kind": "latency", "amount": 0.01},
                 {"at": 0.5, "kind": "solar_flare"},
             ],
         }
         plan = FaultPlan.from_json(json.dumps(document), on_unknown="drop")
-        assert [e.kind for e in plan.events] == ["worker_crash"]
+        assert [e.kind for e in plan.events] == ["latency"]
 
     def test_on_unknown_is_validated(self):
         with pytest.raises(ValueError):

@@ -134,26 +134,23 @@ def test_incremental_cache_routes_match_fresh_router(case):
     nodes = net.nodes()
     pairs = [(s, t) for s in nodes for t in nodes if s != t][:3]
     injector = FaultInjector(net)
-    service = RoutingService(injector.network_view, workers=0)
+    service = RoutingService(injector.network_view)
     injector.attach(service)
-    try:
-        for kind, kw in ops:
-            injector.apply(FaultEvent(0.5, kind, **kw))
-            fresh = LiangShenRouter(injector.network_view(), heap="flat")
-            for source, target in pairs:
-                try:
-                    served = service.cache.route(source, target)
-                except NoPathError:
-                    served = None
-                try:
-                    expected = fresh.route(source, target).path
-                except NoPathError:
-                    expected = None
-                if expected is None:
-                    assert served is None, (kind, source, target)
-                else:
-                    assert served is not None, (kind, source, target)
-                    assert served.hops == expected.hops, (kind, source, target)
-                    assert served.total_cost == expected.total_cost
-    finally:
-        service.close()
+    for kind, kw in ops:
+        injector.apply(FaultEvent(0.5, kind, **kw))
+        fresh = LiangShenRouter(injector.network_view(), heap="flat")
+        for source, target in pairs:
+            try:
+                served = service.cache.route(source, target)
+            except NoPathError:
+                served = None
+            try:
+                expected = fresh.route(source, target).path
+            except NoPathError:
+                expected = None
+            if expected is None:
+                assert served is None, (kind, source, target)
+            else:
+                assert served is not None, (kind, source, target)
+                assert served.hops == expected.hops, (kind, source, target)
+                assert served.total_cost == expected.total_cost

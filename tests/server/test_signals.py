@@ -201,6 +201,22 @@ def test_serve_handles_signals_before_it_binds(network_file, tmp_path, monkeypat
     assert set(leaked_segments()) - before == set()
 
 
+def _held_fds(pid: int) -> set[str]:
+    """What each of *pid*'s open fds points at (``socket:[inode]`` ...)."""
+    fd_dir = f"/proc/{pid}/fd"
+    held = set()
+    for fd in os.listdir(fd_dir):
+        try:
+            held.add(os.readlink(os.path.join(fd_dir, fd)))
+        except FileNotFoundError:
+            pass  # closed since the listing
+    return held
+
+
+def _listener_inode(server: RouterServer) -> str:
+    return f"socket:[{os.fstat(server._listener.fileno()).st_ino}]"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_workers_do_not_hold_the_listener(paper_net):
     """Forked workers close their copy of the listening socket, so a dead
@@ -209,16 +225,28 @@ def test_workers_do_not_hold_the_listener(paper_net):
     with RouterServer(paper_net, workers=1, uds="") as server:
         with RouterClient(server.address) as client:
             client.route(1, 7)  # the worker has served, so it is running
-        listener = f"socket:[{os.fstat(server._listener.fileno()).st_ino}]"
+        listener = _listener_inode(server)
         for pid in server.worker_pids():
-            fd_dir = f"/proc/{pid}/fd"
-            held = set()
-            for fd in os.listdir(fd_dir):
-                try:
-                    held.add(os.readlink(os.path.join(fd_dir, fd)))
-                except FileNotFoundError:
-                    pass  # closed since the listing
-            assert listener not in held, pid
+            assert listener not in _held_fds(pid), pid
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_shard_workers_hold_no_listener(paper_net):
+    """A ``ShardManager`` runs every replica's server in one process, so
+    each later worker is forked holding the earlier servers' listeners:
+    it must close all of them, not just its own server's."""
+    from repro.cluster.shards import ShardManager
+
+    with ShardManager(paper_net, shards=2, replicas=2) as manager:
+        servers = manager.all_servers()
+        for server in servers:
+            with RouterClient(server.address) as client:
+                client.route(1, 7)  # every worker is up and serving
+        listeners = {_listener_inode(server) for server in servers}
+        assert len(listeners) == 4
+        for server in servers:
+            for pid in server.worker_pids():
+                assert listeners.isdisjoint(_held_fds(pid)), pid
 
 
 def test_in_process_close_drains_claimed_jobs(paper_net):

@@ -1,12 +1,21 @@
-"""RoutingService facade and its provisioning-layer wiring."""
+"""RoutingService facade: guarded serving, deadlines, concurrency, and
+its provisioning-layer wiring."""
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.core.routing import LiangShenRouter
-from repro.exceptions import NoPathError, ServiceOverloadError
+from repro.exceptions import (
+    CircuitOpenError,
+    DeadlineExceeded,
+    NoPathError,
+    TransientBackendError,
+)
+from repro.faults.resilience import CircuitBreaker, RetryPolicy
 from repro.service import EpochRouterCache, RoutingService
 from repro.topology.reference import nsfnet_network
 from repro.wdm.provisioning import SemilightpathProvisioner
@@ -14,70 +23,208 @@ from repro.wdm.provisioning import SemilightpathProvisioner
 
 class TestFacade:
     def test_route_and_cost(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
-            assert service.route(1, 7).total_cost == 2.0
-            assert service.cost(1, 6) == 3.5
-            assert service.cost(1, 1) == 0.0
-            assert service.cost(7, 1) == math.inf
+        service = RoutingService(paper_net)
+        assert service.route(1, 7).total_cost == 2.0
+        assert service.cost(1, 6) == 3.5
+        assert service.cost(1, 1) == 0.0
+        assert service.cost(7, 1) == math.inf
 
     def test_try_route(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
-            assert service.try_route(7, 1) is None
-            assert service.try_route(1, 7) is not None
+        service = RoutingService(paper_net)
+        assert service.try_route(7, 1) is None
+        assert service.try_route(1, 7) is not None
 
     def test_route_raises_no_path(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
-            with pytest.raises(NoPathError):
-                service.route(7, 1)
-
-    def test_worker_mode_matches_sync_mode(self, paper_net):
-        with RoutingService(paper_net, workers=0) as sync_service:
-            with RoutingService(paper_net, workers=3) as pooled:
-                for s in paper_net.nodes():
-                    for t in paper_net.nodes():
-                        if s == t:
-                            continue
-                        assert pooled.cost(s, t) == sync_service.cost(s, t)
-
-    def test_submit_returns_future(self, paper_net):
-        with RoutingService(paper_net, workers=2) as service:
-            future = service.submit(1, 7)
-            assert future.result(timeout=30.0).total_cost == 2.0
-
-    def test_overload_propagates(self, paper_net):
-        service = RoutingService(paper_net, workers=0, queue_limit=1)
-        service.submit(1, 7)
-        with pytest.raises(ServiceOverloadError):
-            service.submit(1, 6)
+        service = RoutingService(paper_net)
+        with pytest.raises(NoPathError):
+            service.route(7, 1)
 
     def test_metrics_snapshot_contents(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
-            service.route(1, 7)
-            service.route(1, 6)
-            snap = service.metrics_snapshot()
-            assert snap["engine.served"] == 2
-            assert snap["cache.misses"] == 1
-            assert snap["cache.hits"] == 1
-            assert snap["service.admission_ms"]["count"] == 2
-            assert "p99" in snap["service.admission_ms"]
-            assert "cache.epoch" not in snap or snap["cache.epoch"] == 0
+        service = RoutingService(paper_net)
+        service.route(1, 7)
+        service.route(1, 6)
+        snap = service.metrics_snapshot()
+        assert snap["engine.served"] == 2
+        assert snap["cache.misses"] == 1
+        assert snap["cache.hits"] == 1
+        assert snap["service.admission_ms"]["count"] == 2
+        assert "p99" in snap["service.admission_ms"]
+        assert "cache.epoch" not in snap or snap["cache.epoch"] == 0
 
     def test_render_metrics_is_text(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
-            service.route(1, 7)
-            text = service.render_metrics()
-            assert "engine.served: 1" in text
+        service = RoutingService(paper_net)
+        service.route(1, 7)
+        text = service.render_metrics()
+        assert "engine.served: 1" in text
 
     def test_invalidation_hooks_bump_epoch(self, paper_net):
-        with RoutingService(paper_net, workers=0) as service:
+        service = RoutingService(paper_net)
+        service.route(1, 7)
+        assert service.epoch == 0
+        service.notify_link_degraded(1, 2)
+        assert service.epoch == 1
+        service.notify_link_recovered(1, 2)
+        assert service.epoch == 2
+        service.invalidate()
+        assert service.epoch == 3
+
+
+def _raise(exc):
+    """A fault hook that raises *exc* on every backend attempt."""
+
+    def hook():
+        raise exc
+
+    return hook
+
+
+class TestResilienceWiring:
+    def test_retry_absorbs_transient_faults(self, paper_net):
+        service = RoutingService(
+            paper_net,
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, sleep=lambda _: None),
+        )
+        faults = [TransientBackendError("flake"), TransientBackendError("flake")]
+
+        def hook():
+            if faults:
+                raise faults.pop()
+
+        service.fault_hook = hook
+        assert service.route(1, 7).total_cost == 2.0
+        snapshot = service.metrics_snapshot()
+        assert snapshot["engine.retries"] == 2
+        assert snapshot["engine.backend_faults"] == 2
+
+    def test_retry_exhaustion_surfaces_the_fault(self, paper_net):
+        service = RoutingService(
+            paper_net,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, sleep=lambda _: None),
+        )
+        service.fault_hook = _raise(TransientBackendError("always down"))
+        with pytest.raises(TransientBackendError):
             service.route(1, 7)
-            assert service.epoch == 0
-            service.notify_link_degraded(1, 2)
-            assert service.epoch == 1
-            service.notify_link_recovered(1, 2)
-            assert service.epoch == 2
-            service.invalidate()
-            assert service.epoch == 3
+
+    def test_open_breaker_fails_fast(self, paper_net):
+        now = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=60.0, clock=lambda: now[0]
+        )
+        service = RoutingService(paper_net, breaker=breaker)
+        service.fault_hook = _raise(TransientBackendError("down"))
+        with pytest.raises(TransientBackendError):
+            service.route(1, 7)
+        assert breaker.state == CircuitBreaker.OPEN
+        assert service.metrics_snapshot()["engine.breaker_state"] == 2.0
+        # The hook is no longer reached: the breaker rejects at admission.
+        service.fault_hook = lambda: pytest.fail("backend must not be called")
+        with pytest.raises(CircuitOpenError):
+            service.route(1, 7)
+
+    def test_breaker_closes_after_successful_probe(self, paper_net):
+        now = [0.0]
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=10.0, clock=lambda: now[0]
+        )
+        service = RoutingService(paper_net, breaker=breaker)
+        faulty = [TransientBackendError("down")]
+
+        def hook():
+            if faulty:
+                raise faulty.pop()
+
+        service.fault_hook = hook
+        with pytest.raises(TransientBackendError):
+            service.route(1, 7)
+        now[0] = 11.0  # past the reset timeout: next call is the probe
+        assert service.route(1, 7).total_cost == 2.0
+        assert breaker.state == CircuitBreaker.CLOSED
+
+    def test_no_path_counts_as_backend_success(self, paper_net):
+        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
+        service = RoutingService(paper_net, breaker=breaker)
+        with pytest.raises(NoPathError):
+            service.route(7, 1)
+        assert breaker.state == CircuitBreaker.CLOSED
+        assert breaker.consecutive_failures == 0
+        assert service.metrics_snapshot()["engine.no_path"] == 1
+
+
+class TestDeadlines:
+    def test_deadline_error_is_typed_with_elapsed(self, paper_net):
+        service = RoutingService(paper_net)
+        service.fault_hook = lambda: pytest.fail("backend must not be called")
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            service.route(1, 7, timeout=0.0)
+        error = excinfo.value
+        assert error.source == 1 and error.target == 7
+        assert error.elapsed is not None and error.elapsed >= 0.0
+        assert "after" in str(error)
+
+    def test_expired_counter(self, paper_net):
+        service = RoutingService(paper_net)
+        with pytest.raises(DeadlineExceeded):
+            service.route(1, 7, timeout=0.0)
+        # A missed deadline is not degraded away: it is a caller outcome.
+        with pytest.raises(DeadlineExceeded):
+            service.route_resilient(1, 7, timeout=0.0)
+        snapshot = service.metrics_snapshot()
+        assert snapshot["engine.deadline_exceeded"] == 2
+        assert snapshot.get("engine.served", 0) == 0
+
+    def test_unexpired_deadline_served(self, paper_net):
+        service = RoutingService(paper_net)
+        assert service.route(1, 7, timeout=60.0).total_cost == 2.0
+
+
+class TestConcurrency:
+    def test_concurrent_determinism(self, paper_net):
+        """Six threads calling one service: every answer is the serial one."""
+        serial = EpochRouterCache(paper_net)
+        expected = {}
+        nodes = paper_net.nodes()
+        for s in nodes:
+            for t in nodes:
+                if s == t:
+                    continue
+                try:
+                    expected[(s, t)] = serial.route(s, t)
+                except NoPathError:
+                    expected[(s, t)] = None
+
+        service = RoutingService(paper_net)
+        errors = []
+
+        def hammer(offset):
+            pairs = list(expected)
+            for i in range(len(pairs) * 3):
+                s, t = pairs[(i + offset) % len(pairs)]
+                try:
+                    got = service.route(s, t, timeout=30.0)
+                except NoPathError:
+                    got = None
+                if got != expected[(s, t)]:
+                    errors.append((s, t, got))
+
+        threads = [
+            threading.Thread(target=hammer, args=(i * 5,), daemon=True)
+            for i in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the callers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        snapshot = service.metrics_snapshot()
+        assert snapshot["engine.served"] + snapshot["engine.no_path"] == (
+            6 * 3 * len(expected)
+        )
 
 
 class TestProvisionerWiring:
@@ -91,7 +238,7 @@ class TestProvisionerWiring:
         rng = random.Random(7)
         nodes = net.nodes()
         provisioner = SemilightpathProvisioner(net)
-        service = RoutingService(provisioner.residual_network, workers=0)
+        service = RoutingService(provisioner.residual_network)
         connections = []
         for step in range(30):
             source, target = rng.sample(nodes, 2)
@@ -130,7 +277,7 @@ class TestProvisionerWiring:
         rng = random.Random(3)
         nodes = net.nodes()
         provisioner = SemilightpathProvisioner(net)
-        service = RoutingService(provisioner.residual_network, workers=0)
+        service = RoutingService(provisioner.residual_network)
         for source in nodes:
             service.cache.tree(source)  # warm on the empty residual
         for _ in range(10):

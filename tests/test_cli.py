@@ -262,7 +262,7 @@ class TestChaos:
     def test_short_soak_holds_invariants(self, fig1_file, tmp_path, capsys):
         assert main([
             "chaos", fig1_file, "--seconds", "1", "--faults", "5",
-            "--workers", "2", "--seed", "11",
+            "--seed", "11",
             "--repro-dir", str(tmp_path / "repros"),
         ]) == 0
         out = capsys.readouterr().out
@@ -274,7 +274,6 @@ class TestChaos:
     def test_inject_cost_bug_self_test(self, fig1_file, tmp_path, capsys):
         assert main([
             "chaos", fig1_file, "--seconds", "0.8", "--faults", "4",
-            "--workers", "2",
             "--repro-dir", str(tmp_path / "repros"),
             "--inject-cost-bug",
         ]) == 0

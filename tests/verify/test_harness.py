@@ -21,7 +21,7 @@ from repro.verify.oracles import Oracle, default_oracles
 from repro.verify.scenarios import Scenario, ScenarioLimits, random_scenario
 from tests.strategies import networks_with_endpoints
 
-FAST_ORACLES = default_oracles(parallel_workers=0)
+FAST_ORACLES = default_oracles()
 
 
 def perturbing_oracle(delta=0.125, name="injected:perturbed", exact_hops=False):
@@ -49,12 +49,6 @@ class TestMatrixAgreement:
             report = harness.run(random_scenario(seed))
             assert report.ok, report.format()
             assert report.queries_checked == len(report.scenario.queries)
-
-    def test_full_matrix_including_parallel_pool(self):
-        harness = DifferentialHarness()  # includes liang:all-pairs:parallel
-        report = harness.run(random_scenario(3))
-        assert "liang:all-pairs:parallel" in report.oracle_names
-        assert report.ok, report.format()
 
     @given(case=networks_with_endpoints())
     @settings(max_examples=25, deadline=None)

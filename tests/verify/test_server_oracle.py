@@ -21,7 +21,7 @@ from repro.verify.oracles import (
 )
 from repro.verify.scenarios import random_scenario
 
-FAST = default_oracles(parallel_workers=0)
+FAST = default_oracles()
 
 
 @pytest.fixture
