@@ -380,7 +380,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = RouterServer(
             network, workers=args.workers, host=args.host, port=args.port
         )
-    # SIGTERM/SIGINT drain claimed jobs, unlink the segment, and let
+    # SIGTERM/SIGINT drain in-flight jobs, unlink the segment, and let
     # join() return — a supervisor's TERM leaves no /dev/shm residue.
     # Installed before start() binds the socket and forks the workers,
     # so no signal can find them there with the default action pending.

@@ -12,9 +12,9 @@ and a later request on the same source in the same epoch resumes it.
 Request flow::
 
     client ──frame──▶ listener thread ──▶ per-connection handler thread
-        ──job──▶ task queue ──▶ worker process (claims, computes under
-        read_stable) ──▶ result queue ──▶ collector thread ──▶ handler
-        replies OK/ERR
+        ──checks out an idle worker, sends (op, payload) on its pipe──▶
+        worker process (computes under read_stable) ──(ok, value)──▶
+        handler returns the worker to the idle queue, replies OK/ERR
 
 ``PATCH`` never touches the workers: the server process owns a
 :class:`~repro.shortestpath.delta.DeltaOverlay` bound to the *shared*
@@ -30,14 +30,14 @@ re-delivered patch is acknowledged as ``duplicate`` without touching the
 overlay — so flooding converges for any replica count without loops and
 a fault accepted at *any* replica reaches all of them without a rebuild.
 
-Crash handling: a monitor thread polls worker liveness.  When a worker
-dies, every job it had claimed (announced on the result queue before
-computing) fails with :class:`~repro.exceptions.WorkerCrashError` — a
-*transient* error the client's RetryPolicy will retry — and a fresh
-worker is spawned into the dead slot.  The claim announcement leaves a
-microscopic window (between dequeue and claim) where a crash could
-strand a job; the per-request timeout bounds that to an error, never a
-hang.
+Crash handling: each worker has one duplex pipe to the server, and only
+the handler thread that checked the worker out writes to it.  A worker
+that dies mid-request leaves that handler reading end of file, so
+exactly its job fails with :class:`~repro.exceptions.WorkerCrashError`
+— a *transient* error the client's RetryPolicy will retry — and the
+handler forks a fresh worker into the slot.  A worker that died while
+idle is replaced at checkout, before the job is sent, so clients never
+see it.  Nothing respawns once ``close()`` has begun.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import tempfile
 import threading
 import time
 import weakref
-from queue import Empty
+from queue import Empty, SimpleQueue
 from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.core.auxiliary import build_all_pairs_graph
@@ -90,8 +90,9 @@ PATCH_EVENTS = frozenset(
 )
 
 
-def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
-    """Worker process body: attach once, serve jobs until the poison pill.
+def _worker_main(segment: str, conn, inherited) -> None:
+    """Worker process body: attach once, answer jobs on *conn* until the
+    poison pill or end of file.
 
     Every computation runs under ``SharedCSR.read_stable`` so a PATCH
     racing the tree run forces a retry instead of returning answers from
@@ -101,10 +102,11 @@ def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
     target settles; later requests on that source resume the same tree,
     so within one epoch each source's search runs at most once.
 
-    *sockets* are the listeners and connections of every live server in
-    the parent process as this forked child inherited them; the worker
-    closes its copies at once, so only the server process holds them and
-    its death gives clients EOF.
+    *inherited* is what this forked child copied from every live server
+    in the parent process: listeners, connections, segment handles and
+    the server ends of worker pipes, its own included.  Closing them at
+    once leaves the worker only its own segment, and a dead server gives
+    its clients and its workers end of file.
     """
     import signal
 
@@ -112,8 +114,8 @@ def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
     # parent's graceful-shutdown path reaps workers via poison pills, so
     # workers must not race it by dying on the signal themselves.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for sock in sockets:
-        sock.close()
+    for handle in inherited:
+        handle.close()
     aux = attach_all_pairs_graph(segment)
     shared = aux.shared_csr
     state: dict[str, Any] = {"epoch": shared.epoch, "forests": {}}
@@ -160,39 +162,22 @@ def _worker_main(segment: str, index: int, tasks, results, sockets) -> None:
         raise RemoteRouterError(f"worker cannot execute opcode {op:#04x}")
 
     while True:
-        job = tasks.get()
+        try:
+            job = conn.recv()
+        except EOFError:
+            break  # the server is gone
         if job is None:
             break
-        job_id, op, payload = job
-        results.put(("claim", job_id, index))
+        op, payload = job
         try:
-            value = execute(op, payload)
+            reply = (True, execute(op, payload))
         except Exception as exc:  # noqa: BLE001 - serialized back to the client
-            results.put(
-                ("done", job_id, False, (type(exc).__name__, str(exc)))
-            )
-        else:
-            results.put(("done", job_id, True, value))
+            reply = (False, (type(exc).__name__, str(exc)))
+        try:
+            conn.send(reply)
+        except OSError:
+            break  # the server is gone
     shared.close()
-
-
-class _Job:
-    """One in-flight request handed to the worker pool."""
-
-    __slots__ = ("id", "op", "event", "ok", "value", "worker")
-
-    def __init__(self, job_id: int, op: int) -> None:
-        self.id = job_id
-        self.op = op
-        self.event = threading.Event()
-        self.ok = False
-        self.value: Any = None
-        self.worker: int | None = None
-
-    def fail(self, name: str, message: str) -> None:
-        self.ok = False
-        self.value = (name, message)
-        self.event.set()
 
 
 class RouterServer:
@@ -212,20 +197,23 @@ class RouterServer:
     debug:
         Enables the ``SLEEP`` opcode (tests pin a worker to kill it).
     request_timeout:
-        Seconds a handler waits on the pool before failing the request.
+        Seconds a request may wait for an idle worker and then for its
+        reply before it fails.  A worker that overruns is replaced, so
+        its late reply cannot answer the next job on its pipe.
     peers:
         Addresses of the other replicas of this server's shard; every
         accepted ``PATCH`` is flooded to them (see the module docstring).
         Usually wired after ``start()`` via :meth:`add_peer` because
         ephemeral addresses are only known then.
     drain_timeout:
-        Seconds ``close()`` waits for claimed jobs to finish (and their
-        replies to flush) before tearing the pool down.
+        Seconds ``close()`` waits for in-flight requests to finish (and
+        their replies to flush) before tearing the pool down; a worker
+        still busy then is terminated.
     """
 
     #: Every started, not yet closed server in this process.  A forked
-    #: worker inherits the sockets of all of them (a ``ShardManager``
-    #: runs every replica in one process), so it is handed all of them.
+    #: worker inherits the sockets, segments and worker pipes of all of
+    #: them (a ``ShardManager`` runs every replica in one process).
     _live: "weakref.WeakSet[RouterServer]" = weakref.WeakSet()
     _live_lock = threading.Lock()
 
@@ -261,10 +249,9 @@ class RouterServer:
         self._close_started = False
         self._stop_requested = False  # set by the signal handler
         self._lock = threading.Lock()
-        self._jobs: dict[int, _Job] = {}
+        self._pending = 0  # jobs handed to a worker and not yet answered
         self._active = 0  # dispatches between frame read and reply sent
-        self._job_ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
+        self._acceptor: threading.Thread | None = None
         self._connections: set[socket.socket] = set()
         self._respawns = 0
         self._requests = 0
@@ -295,9 +282,11 @@ class RouterServer:
             else None
         )
         self._ctx = multiprocessing.get_context(ctx_name)
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        self._workers: list[multiprocessing.process.BaseProcess] = []
+        # Slot i holds worker i and the server's end of its pipe; the
+        # idle queue holds the slots no handler has checked out.
+        self._workers: list[Any] = [None] * workers
+        self._conns: list[Any] = [None] * workers
+        self._idle: SimpleQueue[int | None] = SimpleQueue()
         self._listener: socket.socket | None = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -325,17 +314,12 @@ class RouterServer:
         with RouterServer._live_lock:
             RouterServer._live.add(self)
         for index in range(self._num_workers):
-            self._workers.append(self._spawn_worker(index))
-        for name, fn in (
-            ("collector", self._collector_loop),
-            ("monitor", self._monitor_loop),
-            ("acceptor", self._accept_loop),
-        ):
-            thread = threading.Thread(
-                target=fn, name=f"router-{name}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            self._spawn_worker(index)
+            self._idle.put(index)
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="router-acceptor", daemon=True
+        )
+        self._acceptor.start()
         return self
 
     @property
@@ -352,7 +336,7 @@ class RouterServer:
 
     def worker_pids(self) -> list[int]:
         """Live worker PIDs (test hook for the kill/respawn suite)."""
-        return [p.pid for p in self._workers if p.pid is not None]
+        return [p.pid for p in self._workers if p is not None]
 
     def join(self, timeout: float | None = None) -> bool:
         """Block until the server closes (a SHUTDOWN frame, ``close()``, or
@@ -400,7 +384,7 @@ class RouterServer:
         still kill the process and orphan them.  The handler only records
         the request, so it is safe wherever it lands, even mid-``start()``
         or mid-``close()``; :meth:`join` sees it within 200 ms and runs
-        ``close()``, which drains claimed jobs, reaps the pool, and
+        ``close()``, which drains in-flight jobs, reaps the pool, and
         unlinks the shared segment, so a supervisor's TERM leaves no
         ``/dev/shm`` residue.
         """
@@ -420,7 +404,8 @@ class RouterServer:
         returned" always means "segment unlinked".  In-flight jobs get
         up to ``drain_timeout`` seconds to finish and flush their
         replies before the pool is torn down — a SIGTERM mid-request
-        drains instead of stranding clients.
+        drains instead of stranding clients.  Nothing respawns once
+        ``close()`` has begun.
         """
         with self._close_guard:
             first = not self._close_started
@@ -433,8 +418,8 @@ class RouterServer:
         #    connected (and possibly wrote a frame) before the signal
         #    landed would be RST by closing the listener, never having
         #    been accepted.  Adopted connections join the drain like any
-        #    other.  The acceptor keeps the collector and the live
-        #    connections running during the drain.
+        #    other.  The acceptor and the live connections keep running
+        #    during the drain.
         if self._listener is not None:
             try:
                 self._listener.settimeout(0)
@@ -455,16 +440,16 @@ class RouterServer:
                 self._listener.close()
             except OSError:
                 pass
-        # 2) Drain: wait for queued jobs AND in-flight dispatches to
-        #    finish.  Quiescence must hold for a short stable window —
-        #    a frame already buffered on a connection when the signal
-        #    landed may not have been *read* yet, so a single empty
-        #    check would tear the socket down under its reply.
+        # 2) Drain: wait for in-flight dispatches to finish.  Quiescence
+        #    must hold for a short stable window — a frame already
+        #    buffered on a connection when the signal landed may not
+        #    have been *read* yet, so a single empty check would tear the
+        #    socket down under its reply.
         deadline = time.monotonic() + max(0.0, self._drain_timeout)
         quiet_since: float | None = None
         while time.monotonic() < deadline:
             with self._lock:
-                busy = bool(self._jobs) or self._active > 0
+                busy = self._active > 0
             now = time.monotonic()
             if busy:
                 quiet_since = None
@@ -494,23 +479,33 @@ class RouterServer:
                 conn.close()
             except OSError:
                 pass
-        for _ in self._workers:
-            self._tasks.put(None)
+        # Only the thread holding a worker writes to its pipe, so each
+        # worker is checked out before it gets the pill; one still busy
+        # at the drain deadline is terminated below.
+        spawned = [proc for proc in self._workers if proc is not None]
+        for _ in spawned:
+            try:
+                index = self._idle.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+            except Empty:
+                break
+            try:
+                self._conns[index].send(None)
+            except OSError:
+                pass  # it died while idle
+        self._idle.put(None)  # turns away every later checkout
         deadline = time.monotonic() + 5.0
-        for proc in self._workers:
+        for proc in spawned:
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        with self._lock:
-            jobs = list(self._jobs.values())
-            self._jobs.clear()
-        for job in jobs:
-            job.fail("RemoteRouterError", "server shut down")
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._tasks.close()
-        self._results.close()
+        for conn in self._conns:
+            if conn is not None:
+                conn.close()
+        if self._acceptor is not None:
+            self._acceptor.join(timeout=2.0)
         self._shared.unlink()
         with RouterServer._live_lock:
             RouterServer._live.discard(self)
@@ -529,98 +524,96 @@ class RouterServer:
 
     # -- worker pool ----------------------------------------------------------
 
-    def _spawn_worker(self, index: int):
-        # A forked child inherits every socket this process holds and is
-        # handed the listeners and connections of every live server to
-        # close through their socket objects; a spawned child inherits
-        # none.
-        sockets: list[socket.socket] = []
-        if self._ctx.get_start_method() == "fork":
-            with RouterServer._live_lock:
-                servers = list(RouterServer._live)
-            for server in servers:
-                with server._lock:
-                    sockets.append(server._listener)
-                    sockets.extend(server._connections)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                self._shared.name,
-                index,
-                self._tasks,
-                self._results,
-                sockets,
-            ),
-            daemon=True,
-            name=f"router-worker-{index}",
-        )
-        proc.start()
-        return proc
+    def _spawn_worker(self, index: int) -> None:
+        """Fork a worker with a fresh pipe into slot *index*.
 
-    def _collector_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                message = self._results.get(timeout=0.1)
-            except (Empty, OSError, EOFError):
-                continue
-            kind = message[0]
-            if kind == "claim":
-                _, job_id, worker_index = message
-                with self._lock:
-                    job = self._jobs.get(job_id)
-                    if job is not None:
-                        job.worker = worker_index
-            elif kind == "done":
-                _, job_id, ok, value = message
-                with self._lock:
-                    job = self._jobs.pop(job_id, None)
-                if job is not None:
-                    job.ok = ok
-                    job.value = value
-                    job.event.set()
+        Pipe, fork and the close of the child's end here all happen under
+        ``_live_lock``: any fork in between would copy the child's end,
+        and this worker's death would then give no end of file.
+        """
+        with RouterServer._live_lock:
+            inherited: list[Any] = []
+            if self._ctx.get_start_method() == "fork":
+                for server in RouterServer._live:
+                    with server._lock:
+                        inherited.append(server._listener)
+                        inherited.extend(server._connections)
+                    inherited.append(server._shared)
+                    inherited.extend(c for c in server._conns if c is not None)
+            conn, child = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(self._shared.name, child, inherited + [conn]),
+                daemon=True,
+                name=f"router-worker-{index}",
+            )
+            proc.start()
+            child.close()
+            self._workers[index], self._conns[index] = proc, conn
 
-    def _monitor_loop(self) -> None:
-        while not self._closing.is_set():
-            for index, proc in enumerate(self._workers):
-                if proc.is_alive() or self._closing.is_set():
-                    continue
-                # Reap, fail everything the dead worker had claimed with
-                # a *retryable* error, and refill the slot.
-                proc.join(timeout=0.1)
-                with self._lock:
-                    stranded = [
-                        job
-                        for job in self._jobs.values()
-                        if job.worker == index
-                    ]
-                    for job in stranded:
-                        del self._jobs[job.id]
-                    self._respawns += 1
-                for job in stranded:
-                    job.fail(
-                        "WorkerCrashError",
-                        f"worker {index} (pid {proc.pid}) died mid-request",
-                    )
-                self._workers[index] = self._spawn_worker(index)
-            time.sleep(0.05)
+    def _replace(self, index: int) -> bool:
+        """Retire slot *index*'s worker and fork a fresh one into it.
 
-    def _submit(self, op: int, payload: Any):
-        """Queue one job on the pool and wait for its result."""
-        job = _Job(next(self._job_ids), op)
-        with self._lock:
-            self._jobs[job.id] = job
-        self._tasks.put((job.id, op, payload))
-        if not job.event.wait(timeout=self._request_timeout):
-            with self._lock:
-                self._jobs.pop(job.id, None)
+        Returns False, leaving the slot dead, once ``close()`` has begun.
+        """
+        proc = self._workers[index]
+        proc.terminate()
+        proc.join(timeout=5.0)
+        self._conns[index].close()
+        with self._close_guard:
+            if self._close_started:
+                return False
+            self._respawns += 1
+            self._spawn_worker(index)
+        return True
+
+    def _checkout(self, deadline: float) -> int:
+        """Take an idle worker's slot, replacing a worker that died idle."""
+        try:
+            index = self._idle.get(
+                timeout=max(0.0, deadline - time.monotonic())
+            )
+        except Empty:
             raise RemoteRouterError(
                 f"request timed out after {self._request_timeout}s"
-            )
-        if job.ok:
-            return job.value
-        name, message = job.value
-        if name == "WorkerCrashError":
-            raise WorkerCrashError(message)
+            ) from None
+        if index is None or self._closing.is_set():
+            self._idle.put(index)
+            raise RemoteRouterError("server shut down")
+        if not self._workers[index].is_alive() and not self._replace(index):
+            self._idle.put(index)
+            raise RemoteRouterError("server shut down")
+        return index
+
+    def _submit(self, op: int, payload: Any):
+        """Run one job on an idle worker and wait for its reply."""
+        deadline = time.monotonic() + self._request_timeout
+        index = self._checkout(deadline)
+        conn = self._conns[index]
+        with self._lock:
+            self._pending += 1
+        try:
+            conn.send((op, payload))
+            if not conn.poll(max(0.0, deadline - time.monotonic())):
+                # Its late reply would answer the next job on this pipe.
+                self._replace(index)
+                raise RemoteRouterError(
+                    f"request timed out after {self._request_timeout}s"
+                )
+            ok, value = conn.recv()
+        except (EOFError, OSError):
+            pid = self._workers[index].pid
+            self._replace(index)
+            raise WorkerCrashError(
+                f"worker {index} (pid {pid}) died mid-request"
+            ) from None
+        finally:
+            with self._lock:
+                self._pending -= 1
+            self._idle.put(index)
+        if ok:
+            return value
+        name, message = value
         raise RemoteRouterError(f"{name}: {message}")
 
     # -- request dispatch -----------------------------------------------------
@@ -773,7 +766,7 @@ class RouterServer:
 
     def _stats(self) -> dict[str, Any]:
         with self._lock:
-            pending = len(self._jobs)
+            pending = self._pending
         with self._gossip_lock:
             gossip = {
                 "id": self.gossip_id,

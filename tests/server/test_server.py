@@ -11,6 +11,7 @@ worker SIGKILL mid-request, TCP parity, and shutdown cleanup.
 
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -316,12 +317,22 @@ def test_concurrent_clients_agree_with_local_router(server, local_router, networ
         threading.Thread(target=hammer, args=(3,), daemon=True)
         for _ in range(4)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60.0)
+    # More clients than workers, and short switches between the server's
+    # in-process handler threads as they check workers out and back in.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert mismatches == []
+    with RouterClient(server.address) as cli:
+        assert cli.stats()["pending"] == 0
 
 
 def test_sleep_requires_debug_flag(network):
@@ -351,24 +362,21 @@ def test_worker_kill_mid_request_is_retryable_not_a_hang(network):
 
         thread = threading.Thread(target=pinned, daemon=True)
         thread.start()
-        # Wait until the worker has *claimed* the sleep job (a job is
-        # pending the instant it is submitted; killing before the claim
-        # would just hand the queued task to the respawned worker).
+        # Wait until the sleep job is in the worker's hands: STATS counts
+        # a job pending from the moment it is sent on the worker's pipe.
         deadline = time.monotonic() + 5.0
         claimed = False
-        while time.monotonic() < deadline and not claimed:
-            with srv._lock:
-                claimed = any(
-                    job.worker is not None for job in srv._jobs.values()
-                )
-            time.sleep(0.02)
+        with RouterClient(srv.address) as probe:
+            while time.monotonic() < deadline and not claimed:
+                claimed = probe.stats()["pending"] == 1
+                time.sleep(0.02)
         assert claimed, "sleep job never reached the worker"
         os.kill(victim, 9)
         thread.join(timeout=20.0)
         assert not thread.is_alive(), "killed worker stranded the request"
         assert isinstance(failure.get("exc"), WorkerCrashError)
 
-        # The monitor must have respawned the slot; service continues.
+        # The handler must have respawned the slot; service continues.
         deadline = time.monotonic() + 10.0
         with RouterClient(srv.address) as probe:
             while time.monotonic() < deadline:
@@ -411,6 +419,24 @@ def test_default_retry_policy_rides_through_a_crash(network):
             result = retrying._call_retrying(Op.SLEEP, 1.5)
             assert result["slept"] == 1.5
             assert retrying.route(1, 2) == local.route(1, 2).path
+
+
+def test_request_timeout_fails_the_job_and_replaces_its_worker(network):
+    """A job that overruns ``request_timeout`` fails with an error naming
+    the timeout, and the next request gets its own answer, never the
+    overrunning job's late reply."""
+    with RouterServer(
+        network, workers=1, uds="", debug=True, request_timeout=0.5
+    ) as srv:
+        with RouterClient(
+            srv.address, retry=RetryPolicy(max_attempts=1)
+        ) as cli:
+            with pytest.raises(RemoteRouterError, match="timed out after 0.5s"):
+                cli.sleep(2.0)
+            expected = LiangShenRouter(network).route(1, 7).path
+            got = cli.route(1, 7)
+            assert got == expected
+            assert got.hops == expected.hops
 
 
 # -- TCP transport ------------------------------------------------------------

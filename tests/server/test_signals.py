@@ -31,7 +31,7 @@ from repro.core.routing import LiangShenRouter
 from repro.io import network_to_json
 from repro.server import RouterClient, RouterServer
 from repro.server.protocol import Op
-from repro.shortestpath.shared import leaked_segments
+from repro.shortestpath.shared import SEGMENT_PREFIX, leaked_segments
 from repro.topology.reference import paper_figure1_network
 
 _SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -58,11 +58,11 @@ def _kill_group(process):
     process.wait(timeout=30.0)
 
 
-def _spawn_server(network_file, uds_path):
+def _spawn_server(network_file, uds_path, workers=1):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", str(network_file),
-            "--uds", str(uds_path), "--workers", "1",
+            "--uds", str(uds_path), "--workers", str(workers),
         ],
         env={**os.environ, "PYTHONPATH": _SRC},
         stdout=subprocess.PIPE,
@@ -129,6 +129,43 @@ def test_sigterm_drains_inflight_requests(network_file, tmp_path):
         _kill_group(process)
     assert code == 0
     assert set(leaked_segments()) - before == set()
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and is not a zombie (an orphan is reaped by
+    whichever process adopts it, perhaps never)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigkilled_server_leaves_no_workers(network_file, tmp_path):
+    """A server killed outright cannot drain, but its workers read end of
+    file on their pipes and exit; once the last is gone, the resource
+    tracker unlinks the segment the server left behind."""
+    uds_path = tmp_path / "router.sock"
+    process = _spawn_server(network_file, uds_path, workers=2)
+    try:
+        with RouterClient(str(uds_path)) as client:
+            workers = [worker["pid"] for worker in client.stats()["workers"]]
+            segment = client.snapshot()["segment"]
+        assert len(workers) == 2
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait(timeout=30.0)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and (
+            any(_running(pid) for pid in workers)
+            or segment in leaked_segments()
+        ):
+            time.sleep(0.05)
+        assert not any(_running(pid) for pid in workers)
+        assert segment not in leaked_segments()
+    finally:
+        _kill_group(process)
+        process.stdout.close()
 
 
 def test_serve_over_tcp_reports_its_address(network_file):
@@ -213,8 +250,23 @@ def _held_fds(pid: int) -> set[str]:
     return held
 
 
+def _socket_name(handle) -> str:
+    """How a socket or pipe end *handle* reads in ``/proc/<pid>/fd``."""
+    return f"socket:[{os.fstat(handle.fileno()).st_ino}]"
+
+
 def _listener_inode(server: RouterServer) -> str:
-    return f"socket:[{os.fstat(server._listener.fileno()).st_ino}]"
+    return _socket_name(server._listener)
+
+
+def _mapped_segments(pid: int) -> list[str]:
+    """The ``/dev/shm/repro_*`` files *pid* maps, one entry per mapping."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return sorted(
+            line.split(None, 5)[5].strip()
+            for line in maps
+            if "/dev/shm/" + SEGMENT_PREFIX in line
+        )
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
@@ -233,24 +285,50 @@ def test_workers_do_not_hold_the_listener(paper_net):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_shard_workers_hold_no_listener(paper_net):
     """A ``ShardManager`` runs every replica's server in one process, so
-    each later worker is forked holding the earlier servers' listeners:
-    it must close all of them, not just its own server's."""
+    each later worker is forked holding the earlier servers' listeners,
+    segments and worker pipes: it must close all of them, not just its
+    own server's, and map only its own server's segment."""
     from repro.cluster.shards import ShardManager
 
-    with ShardManager(paper_net, shards=2, replicas=2) as manager:
+    with ShardManager(paper_net, shards=2, replicas=2, workers=2) as manager:
         servers = manager.all_servers()
-        for server in servers:
-            with RouterClient(server.address) as client:
-                client.route(1, 7)  # every worker is up and serving
         listeners = {_listener_inode(server) for server in servers}
         assert len(listeners) == 4
+        pipe_ends = {
+            _socket_name(conn) for server in servers for conn in server._conns
+        }
+        assert len(pipe_ends) == 8
+
+        def holdings(pid: int):
+            # Distinct files: an open segment is two fds, since the mmap
+            # keeps a duplicate of the one it maps.
+            held = _held_fds(pid)
+            segments = sorted(
+                fd for fd in held if fd.startswith("/dev/shm/" + SEGMENT_PREFIX)
+            )
+            return (
+                listeners.isdisjoint(held),
+                pipe_ends.isdisjoint(held),
+                segments,
+                _mapped_segments(pid),
+            )
+
         for server in servers:
+            own = f"/dev/shm/{server.segment_name}"
+            expected = (True, True, [own], [own])
             for pid in server.worker_pids():
-                assert listeners.isdisjoint(_held_fds(pid)), pid
+                # A worker closes what it inherited, then attaches; wait
+                # for its start-up to finish.
+                deadline = time.monotonic() + 10.0
+                while (
+                    holdings(pid) != expected and time.monotonic() < deadline
+                ):
+                    time.sleep(0.05)
+                assert holdings(pid) == expected, pid
 
 
 def test_in_process_close_drains_claimed_jobs(paper_net):
-    """``close()`` waits for a claimed job instead of stranding it.
+    """``close()`` waits for a job a worker holds instead of stranding it.
 
     Uses a debug server's SLEEP job (pins a worker) to guarantee a job
     is in flight when close() begins.
@@ -268,13 +346,13 @@ def test_in_process_close_drains_claimed_jobs(paper_net):
 
     thread = threading.Thread(target=sleeper, daemon=True)
     thread.start()
-    # Wait until the worker has claimed the job.
+    # Wait until the job is in the worker's hands.
     deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        with server._lock:
-            if any(job.worker is not None for job in server._jobs.values()):
+    with RouterClient(server.address) as probe:
+        while time.monotonic() < deadline:
+            if probe.stats()["pending"] == 1:
                 break
-        time.sleep(0.01)
+            time.sleep(0.01)
     server.close()
     thread.join(timeout=10.0)
     assert not thread.is_alive()
