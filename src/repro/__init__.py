@@ -44,56 +44,7 @@ Package map
     Size accounting vs the paper's bounds, complexity fitting, JSON/DOT.
 """
 
-from repro.core.auxiliary import (
-    AuxiliarySizes,
-    build_all_pairs_graph,
-    build_layered_graph,
-    build_routing_graph,
-)
-from repro.core.conversion import (
-    CallableConversion,
-    ConversionModel,
-    FixedCostConversion,
-    FullConversion,
-    MatrixConversion,
-    NoConversion,
-    RangeLimitedConversion,
-)
-from repro.core.network import Link, WDMNetwork
-from repro.core.restrictions import (
-    check_restriction1,
-    check_restriction2,
-    enforce_restrictions,
-)
-from repro.core.bounded import BoundedConversionRouter, conversion_cost_profile
-from repro.core.ksp import k_shortest_semilightpaths
-from repro.core.routing import AllPairsResult, LiangShenRouter, RouteResult
-from repro.core.semilightpath import Conversion, Hop, Semilightpath
-from repro.exceptions import (
-    CircuitOpenError,
-    ConversionError,
-    DeadlineExceeded,
-    InjectedFaultError,
-    InvalidPathError,
-    NetworkStructureError,
-    NoPathError,
-    RestrictionViolation,
-    SemilightError,
-    ServiceError,
-    ServiceOverloadError,
-    TransientBackendError,
-    WavelengthError,
-)
-from repro.service import (
-    EpochRouterCache,
-    MetricsRegistry,
-    RoutingService,
-)
-from repro.topology.reference import (
-    arpanet_network,
-    nsfnet_network,
-    paper_figure1_network,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -151,3 +102,54 @@ __all__ = [
     "InjectedFaultError",
     "CircuitOpenError",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "AuxiliarySizes": ".core.auxiliary",
+        "build_all_pairs_graph": ".core.auxiliary",
+        "build_layered_graph": ".core.auxiliary",
+        "build_routing_graph": ".core.auxiliary",
+        "CallableConversion": ".core.conversion",
+        "ConversionModel": ".core.conversion",
+        "FixedCostConversion": ".core.conversion",
+        "FullConversion": ".core.conversion",
+        "MatrixConversion": ".core.conversion",
+        "NoConversion": ".core.conversion",
+        "RangeLimitedConversion": ".core.conversion",
+        "Link": ".core.network",
+        "WDMNetwork": ".core.network",
+        "check_restriction1": ".core.restrictions",
+        "check_restriction2": ".core.restrictions",
+        "enforce_restrictions": ".core.restrictions",
+        "BoundedConversionRouter": ".core.bounded",
+        "conversion_cost_profile": ".core.bounded",
+        "k_shortest_semilightpaths": ".core.ksp",
+        "AllPairsResult": ".core.routing",
+        "LiangShenRouter": ".core.routing",
+        "RouteResult": ".core.routing",
+        "Conversion": ".core.semilightpath",
+        "Hop": ".core.semilightpath",
+        "Semilightpath": ".core.semilightpath",
+        "CircuitOpenError": ".exceptions",
+        "ConversionError": ".exceptions",
+        "DeadlineExceeded": ".exceptions",
+        "InjectedFaultError": ".exceptions",
+        "InvalidPathError": ".exceptions",
+        "NetworkStructureError": ".exceptions",
+        "NoPathError": ".exceptions",
+        "RestrictionViolation": ".exceptions",
+        "SemilightError": ".exceptions",
+        "ServiceError": ".exceptions",
+        "ServiceOverloadError": ".exceptions",
+        "TransientBackendError": ".exceptions",
+        "WavelengthError": ".exceptions",
+        "EpochRouterCache": ".service",
+        "MetricsRegistry": ".service",
+        "RoutingService": ".service",
+        "arpanet_network": ".topology.reference",
+        "nsfnet_network": ".topology.reference",
+        "paper_figure1_network": ".topology.reference",
+    },
+)

@@ -86,7 +86,9 @@ def run_comparison(
     For each ``n`` the total wall-clock of *queries_per_n* single-pair
     queries (endpoints spread across the node list) is measured,
     best-of-*repeats*.  Construction cost is included for both — each
-    query rebuilds its auxiliary graph, exactly as both papers account it.
+    query rebuilds its auxiliary graph, exactly as both papers account it:
+    ours runs ``LiangShenRouter(overlay=False)``, Theorem 1's per-query
+    ``G_{s,t}`` build plus search, not the warm cached ``G'``.
     """
     rows: list[ComparisonRow] = []
     for n in ns:
@@ -97,7 +99,7 @@ def run_comparison(
             for i in range(queries_per_n)
         ]
         pairs = [(s, t) for s, t in pairs if s != t]
-        ls = LiangShenRouter(network)
+        ls = LiangShenRouter(network, overlay=False)
         cfz = CFZRouter(network, engine=cfz_engine)
 
         def run_all(router) -> tuple[float, float]:

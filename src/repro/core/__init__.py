@@ -17,38 +17,7 @@ The modules here implement Sections II-IV of Liang & Shen:
   node-simplicity guarantee.
 """
 
-from repro.core.auxiliary import (
-    AllPairsGraph,
-    AuxiliarySizes,
-    LayeredGraph,
-    RoutingGraph,
-    build_all_pairs_graph,
-    build_layered_graph,
-    build_routing_graph,
-)
-from repro.core.batch import BatchRouter
-from repro.core.bounded import BoundedConversionRouter, conversion_cost_profile
-from repro.core.ksp import k_shortest_semilightpaths
-from repro.core.lightpath import LightpathRouter
-from repro.core.conversion import (
-    CallableConversion,
-    ConversionModel,
-    FixedCostConversion,
-    FullConversion,
-    MatrixConversion,
-    NoConversion,
-    RangeLimitedConversion,
-)
-from repro.core.network import Link, WDMNetwork
-from repro.core.restrictions import (
-    check_restriction1,
-    check_restriction2,
-    enforce_restrictions,
-    is_node_simple,
-)
-from repro.core.routing import AllPairsResult, LiangShenRouter, RouteResult
-from repro.core.semilightpath import Hop, Semilightpath
-from repro.core.wavelengths import wavelength_name
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WDMNetwork",
@@ -83,3 +52,41 @@ __all__ = [
     "enforce_restrictions",
     "is_node_simple",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "AllPairsGraph": ".auxiliary",
+        "AuxiliarySizes": ".auxiliary",
+        "LayeredGraph": ".auxiliary",
+        "RoutingGraph": ".auxiliary",
+        "build_all_pairs_graph": ".auxiliary",
+        "build_layered_graph": ".auxiliary",
+        "build_routing_graph": ".auxiliary",
+        "BatchRouter": ".batch",
+        "BoundedConversionRouter": ".bounded",
+        "conversion_cost_profile": ".bounded",
+        "k_shortest_semilightpaths": ".ksp",
+        "LightpathRouter": ".lightpath",
+        "CallableConversion": ".conversion",
+        "ConversionModel": ".conversion",
+        "FixedCostConversion": ".conversion",
+        "FullConversion": ".conversion",
+        "MatrixConversion": ".conversion",
+        "NoConversion": ".conversion",
+        "RangeLimitedConversion": ".conversion",
+        "Link": ".network",
+        "WDMNetwork": ".network",
+        "check_restriction1": ".restrictions",
+        "check_restriction2": ".restrictions",
+        "enforce_restrictions": ".restrictions",
+        "is_node_simple": ".restrictions",
+        "AllPairsResult": ".routing",
+        "LiangShenRouter": ".routing",
+        "RouteResult": ".routing",
+        "Hop": ".semilightpath",
+        "Semilightpath": ".semilightpath",
+        "wavelength_name": ".wavelengths",
+    },
+)

@@ -272,65 +272,89 @@ def _emit_layered(
 ) -> tuple[GraphBuilder, list[AuxNode], dict, dict, dict[str, int]]:
     """Shared construction of ``G'``'s nodes and edges.
 
-    Reserves room for *extra_nodes* virtual terminals (added by the caller
-    afterwards).  Returns the builder, decode list, the ``x_ids`` / ``y_ids``
-    maps, and raw size counters.
+    One pass over the links gathers every node's ``Λ_in`` / ``Λ_out``
+    (of ``G_M`` == of ``G``); each node's sets are then sorted and
+    numbered once, and its edges go to the builder in bulk, in the same
+    order a per-edge emission would use: every node's conversion edges
+    ``E_v`` in node order, then ``E_org`` in multigraph order.  Reserves
+    room for *extra_nodes* virtual terminals (added by the caller
+    afterwards).  Returns the builder, decode list, the ``x_ids`` /
+    ``y_ids`` maps, and raw size counters.
     """
+    nodes = network.nodes()
+    links = list(network.links())
+    lam_in: dict[NodeId, set[int]] = {v: set() for v in nodes}
+    lam_out: dict[NodeId, set[int]] = {v: set() for v in nodes}
+    for link in links:
+        lam_out[link.tail].update(link.costs)
+        lam_in[link.head].update(link.costs)
+
+    # Pass 1: enumerate X_v / Y_v node sets; x_of[v] / y_of[v] map each
+    # wavelength of Λ_in(v) / Λ_out(v) to its auxiliary id.
     decode: list[AuxNode] = []
-    x_ids: dict[tuple[NodeId, int], int] = {}
-    y_ids: dict[tuple[NodeId, int], int] = {}
+    ins: dict[NodeId, list[int]] = {}
+    outs: dict[NodeId, list[int]] = {}
+    x_of: dict[NodeId, dict[int, int]] = {}
+    y_of: dict[NodeId, dict[int, int]] = {}
+    for v in nodes:
+        ins[v] = lams = sorted(lam_in[v])
+        x_of[v] = dict(zip(lams, range(len(decode), len(decode) + len(lams))))
+        decode.extend([AuxNode(KIND_IN, v, lam) for lam in lams])
+        outs[v] = lams = sorted(lam_out[v])
+        y_of[v] = dict(zip(lams, range(len(decode), len(decode) + len(lams))))
+        decode.extend([AuxNode(KIND_OUT, v, lam) for lam in lams])
+    x_ids = {(v, lam): aid for v, ids in x_of.items() for lam, aid in ids.items()}
+    y_ids = {(v, lam): aid for v, ids in y_of.items() for lam, aid in ids.items()}
 
-    # Pass 1: enumerate X_v / Y_v node sets (Λ_in / Λ_out of G_M == of G).
-    for v in network.nodes():
-        for lam in sorted(network.lambda_in(v)):
-            x_ids[(v, lam)] = len(decode)
-            decode.append(AuxNode(KIND_IN, v, lam))
-        for lam in sorted(network.lambda_out(v)):
-            y_ids[(v, lam)] = len(decode)
-            decode.append(AuxNode(KIND_OUT, v, lam))
-
-    builder = GraphBuilder(len(decode) + extra_nodes)
+    tails: list[int] = []
+    heads: list[int] = []
+    weights: list[float] = []
 
     # Pass 2: conversion edges E_v inside each bipartite graph G_v.
-    num_conversion_edges = 0
     max_bip_nodes = 0
     max_bip_edges = 0
-    for v in network.nodes():
-        lam_in = sorted(network.lambda_in(v))
-        lam_out = sorted(network.lambda_out(v))
-        max_bip_nodes = max(max_bip_nodes, len(lam_in) + len(lam_out))
-        model = network.conversion(v)
-        count = 0
-        for p, q, cost in model.finite_pairs(lam_in, lam_out):
-            builder.add_edge(x_ids[(v, p)], y_ids[(v, q)], cost)
-            count += 1
-        num_conversion_edges += count
-        max_bip_edges = max(max_bip_edges, count)
+    for v in nodes:
+        max_bip_nodes = max(max_bip_nodes, len(ins[v]) + len(outs[v]))
+        pairs = list(network.conversion(v).finite_pairs(ins[v], outs[v]))
+        if pairs:
+            ps, qs, costs = zip(*pairs)
+            tails.extend(map(x_of[v].__getitem__, ps))
+            heads.extend(map(y_of[v].__getitem__, qs))
+            weights.extend(costs)
+        max_bip_edges = max(max_bip_edges, len(pairs))
+    num_conversion_edges = len(tails)
 
     # Pass 3: original edges E_org from the multigraph G_M.
-    num_org_edges = 0
-    for u, v, lam, weight in multigraph_edges(network):
-        builder.add_edge(y_ids[(u, lam)], x_ids[(v, lam)], weight)
-        num_org_edges += 1
+    max_link_wavelengths = 0
+    for link in links:
+        lams = sorted(link.costs)
+        tails.extend(map(y_of[link.tail].__getitem__, lams))
+        heads.extend(map(x_of[link.head].__getitem__, lams))
+        weights.extend(map(link.costs.__getitem__, lams))
+        max_link_wavelengths = max(max_link_wavelengths, len(lams))
 
+    builder = GraphBuilder(len(decode) + extra_nodes)
+    builder.add_edges(tails, heads, weights)
     counters = {
         "num_conversion_edges": num_conversion_edges,
-        "num_org_edges": num_org_edges,
+        "num_org_edges": len(tails) - num_conversion_edges,
         "max_bipartite_nodes": max_bip_nodes,
         "max_bipartite_edges": max_bip_edges,
         "num_layer_nodes": len(decode),
+        "max_link_wavelengths": max_link_wavelengths,
     }
     return builder, decode, x_ids, y_ids, counters
 
 
 def _sizes(network: "WDMNetwork", counters: dict[str, int]) -> AuxiliarySizes:
+    # |E_org| = m₁ = Σ_e |Λ(e)|: one original edge per G_M link.
     return AuxiliarySizes(
         n=network.num_nodes,
         m=network.num_links,
         k=network.num_wavelengths,
-        k0=network.max_link_wavelengths,
+        k0=counters["max_link_wavelengths"],
         d=network.max_degree,
-        m1=network.total_link_wavelengths,
+        m1=counters["num_org_edges"],
         num_layer_nodes=counters["num_layer_nodes"],
         num_layer_edges=counters["num_conversion_edges"] + counters["num_org_edges"],
         num_org_edges=counters["num_org_edges"],
@@ -378,12 +402,10 @@ def build_routing_graph(network: "WDMNetwork", source: NodeId, target: NodeId) -
     sink_id = len(decode) + 1
     decode = decode + [AuxNode(KIND_SOURCE, source, -1), AuxNode(KIND_SINK, target, -1)]
 
-    for (v, _lam), aux in y_ids.items():
-        if v == source:
-            builder.add_edge(source_id, aux, 0.0)
-    for (v, _lam), aux in x_ids.items():
-        if v == target:
-            builder.add_edge(aux, sink_id, 0.0)
+    seeds = [aux for (v, _lam), aux in y_ids.items() if v == source]
+    sinks = [aux for (v, _lam), aux in x_ids.items() if v == target]
+    builder.add_edges([source_id] * len(seeds), seeds, [0.0] * len(seeds))
+    builder.add_edges(sinks, [sink_id] * len(sinks), [0.0] * len(sinks))
 
     return RoutingGraph(
         source=source,
@@ -422,10 +444,12 @@ def build_all_pairs_graph(network: "WDMNetwork") -> AllPairsGraph:
         decode.append(AuxNode(KIND_SINK, v, -1))
         next_id += 1
 
-    for (v, _lam), aux in y_ids.items():
-        builder.add_edge(source_ids[v], aux, 0.0)
-    for (v, _lam), aux in x_ids.items():
-        builder.add_edge(aux, sink_ids[v], 0.0)
+    builder.add_edges(
+        [source_ids[v] for v, _lam in y_ids], y_ids.values(), [0.0] * len(y_ids)
+    )
+    builder.add_edges(
+        x_ids.values(), [sink_ids[v] for v, _lam in x_ids], [0.0] * len(x_ids)
+    )
 
     return AllPairsGraph(
         source_ids=source_ids,

@@ -334,12 +334,43 @@ class WDMNetwork:
     # -- misc -----------------------------------------------------------------
 
     def copy(self) -> "WDMNetwork":
-        """Deep-enough copy: fresh structure, shared immutable models."""
-        clone = WDMNetwork(self._k, self._default_conversion)
-        for node in self._labels:
-            clone.add_node(node, self._conversions.get(node))
-        for link in self.links():
-            clone.add_link(link.tail, link.head, dict(link.costs))
+        """Deep-enough copy: fresh structure, shared immutable links and
+        models (see :meth:`with_link_costs`)."""
+        return self.with_link_costs({})
+
+    def with_link_costs(
+        self, tables: Mapping[tuple[NodeId, NodeId], Mapping[int, float]]
+    ) -> "WDMNetwork":
+        """Structural copy in which each link named in *tables* carries
+        that cost table instead of its own.
+
+        The copy keeps this network's nodes, link order (dark links
+        included), default and per-node conversion models.  Every link
+        not named in *tables* is this network's own :class:`Link`,
+        shared rather than copied: a link is frozen, and nothing mutates
+        its cost table in place.  Nothing is validated again, so each
+        table must be one :meth:`add_link` would store — wavelengths of
+        this network, finite nonnegative float costs.  The residual
+        networks of :mod:`repro.wdm.provisioning` pass subsets of this
+        network's tables, nudged by finite nonnegative amounts.
+        """
+        clone = WDMNetwork.__new__(WDMNetwork)
+        clone._k = self._k
+        clone._default_conversion = self._default_conversion
+        clone._index = dict(self._index)
+        clone._labels = list(self._labels)
+        clone._conversions = dict(self._conversions)
+        clone._out = {node: {} for node in self._labels}
+        clone._in = {node: {} for node in self._labels}
+        clone._num_links = self._num_links
+        for tail, out in self._out.items():
+            clone_out = clone._out[tail]
+            for head, link in out.items():
+                table = tables.get((tail, head))
+                if table is not None:
+                    link = Link(tail, head, table)
+                clone_out[head] = link
+                clone._in[head][tail] = link
         return clone
 
     def _check_node(self, node: NodeId) -> None:

@@ -103,10 +103,11 @@ def _worker_main(segment: str, conn, inherited) -> None:
     so within one epoch each source's search runs at most once.
 
     *inherited* is what this forked child copied from every live server
-    in the parent process: listeners, connections, segment handles and
-    the server ends of worker pipes, its own included.  Closing them at
+    in the parent process: listeners, connections, segment handles, the
+    server ends of worker pipes (its own included) and the sockets of
+    the gossip clients each server keeps to its peers.  Closing them at
     once leaves the worker only its own segment, and a dead server gives
-    its clients and its workers end of file.
+    its clients, its peers and its workers end of file.
     """
     import signal
 
@@ -540,6 +541,14 @@ class RouterServer:
                         inherited.extend(server._connections)
                     inherited.append(server._shared)
                     inherited.extend(c for c in server._conns if c is not None)
+                    # The gossip clients' sockets themselves: a client's
+                    # close() takes a lock that the fork may copy held.
+                    with server._gossip_lock:
+                        inherited.extend(
+                            client._sock
+                            for client in server._peer_clients.values()
+                            if client._sock is not None
+                        )
             conn, child = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,

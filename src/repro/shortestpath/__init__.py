@@ -35,25 +35,12 @@ the same uniform signature.
 
 from typing import Callable
 
-from repro.shortestpath.bellman_ford import bellman_ford, spfa
-from repro.shortestpath.delta import DeltaOverlay, MaterializedOverlay
+from repro._lazy import lazy_exports
+
+# Imported eagerly: the kernel table below holds them, and binding
+# ``dijkstra`` here keeps the function, not its same-named submodule.
 from repro.shortestpath.dijkstra import DijkstraResult, dijkstra
-from repro.shortestpath.fibonacci import FibonacciHeap
-from repro.shortestpath.flat import (
-    ScratchBuffers,
-    ScratchPool,
-    WarmRun,
-    flat_dijkstra,
-)
-from repro.shortestpath.heaps import BinaryHeap, PairingHeap
-from repro.shortestpath.paths import ShortestPathTree, reconstruct_path
-from repro.shortestpath.shared import (
-    SharedCSR,
-    attach_all_pairs_graph,
-    leaked_segments,
-    share_all_pairs_graph,
-)
-from repro.shortestpath.structures import GraphBuilder, StaticGraph
+from repro.shortestpath.flat import flat_dijkstra
 
 _KernelFn = Callable[..., DijkstraResult]
 
@@ -120,3 +107,28 @@ __all__ = [
     "reconstruct_path",
     "ShortestPathTree",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "bellman_ford": ".bellman_ford",
+        "spfa": ".bellman_ford",
+        "DeltaOverlay": ".delta",
+        "MaterializedOverlay": ".delta",
+        "FibonacciHeap": ".fibonacci",
+        "BinaryHeap": ".heaps",
+        "PairingHeap": ".heaps",
+        "ShortestPathTree": ".paths",
+        "reconstruct_path": ".paths",
+        "ScratchBuffers": ".flat",
+        "ScratchPool": ".flat",
+        "WarmRun": ".flat",
+        "SharedCSR": ".shared",
+        "attach_all_pairs_graph": ".shared",
+        "leaked_segments": ".shared",
+        "share_all_pairs_graph": ".shared",
+        "GraphBuilder": ".structures",
+        "StaticGraph": ".structures",
+    },
+)

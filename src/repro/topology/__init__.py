@@ -13,35 +13,7 @@ Everything the benchmarks and tests route over is generated here:
   Restrictions 1-2.
 """
 
-from repro.topology.converters import place_converters, sparse_conversion_network
-from repro.topology.traffic_matrices import gravity_demands, uniform_demands
-from repro.topology.cost_models import (
-    distance_scaled_costs,
-    restriction2_conversion,
-    uniform_costs,
-    wavelength_dependent_costs,
-)
-from repro.topology.generators import (
-    complete_network,
-    degree_bounded_network,
-    grid_network,
-    line_network,
-    random_sparse_network,
-    ring_network,
-    torus_network,
-    waxman_network,
-)
-from repro.topology.reference import (
-    arpanet_network,
-    cost239_network,
-    nsfnet_network,
-    paper_figure1_network,
-)
-from repro.topology.wavelength_assign import (
-    all_wavelengths,
-    bounded_random_wavelengths,
-    random_wavelengths,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ring_network",
@@ -68,3 +40,33 @@ __all__ = [
     "gravity_demands",
     "uniform_demands",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "place_converters": ".converters",
+        "sparse_conversion_network": ".converters",
+        "gravity_demands": ".traffic_matrices",
+        "uniform_demands": ".traffic_matrices",
+        "distance_scaled_costs": ".cost_models",
+        "restriction2_conversion": ".cost_models",
+        "uniform_costs": ".cost_models",
+        "wavelength_dependent_costs": ".cost_models",
+        "complete_network": ".generators",
+        "degree_bounded_network": ".generators",
+        "grid_network": ".generators",
+        "line_network": ".generators",
+        "random_sparse_network": ".generators",
+        "ring_network": ".generators",
+        "torus_network": ".generators",
+        "waxman_network": ".generators",
+        "arpanet_network": ".reference",
+        "cost239_network": ".reference",
+        "nsfnet_network": ".reference",
+        "paper_figure1_network": ".reference",
+        "all_wavelengths": ".wavelength_assign",
+        "bounded_random_wavelengths": ".wavelength_assign",
+        "random_wavelengths": ".wavelength_assign",
+    },
+)

@@ -33,30 +33,7 @@ CLI entry points: ``repro verify`` (corpus replay + seeded sweep),
 fuzzing).
 """
 
-from repro.verify.certificate import CertificateReport, check_certificate
-from repro.verify.corpus import (
-    CorpusCase,
-    iter_corpus,
-    load_case,
-    replay_corpus,
-    save_case,
-)
-from repro.verify.harness import (
-    Disagreement,
-    DifferentialHarness,
-    FuzzResult,
-    ScenarioReport,
-    fuzz,
-)
-from repro.verify.oracles import Oracle, default_oracles
-from repro.verify.scenarios import (
-    Scenario,
-    network_is_chain_free,
-    random_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-from repro.verify.shrink import Shrinkable, shrink_scenario
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CertificateReport",
@@ -81,3 +58,31 @@ __all__ = [
     "Shrinkable",
     "shrink_scenario",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "CertificateReport": ".certificate",
+        "check_certificate": ".certificate",
+        "CorpusCase": ".corpus",
+        "iter_corpus": ".corpus",
+        "load_case": ".corpus",
+        "replay_corpus": ".corpus",
+        "save_case": ".corpus",
+        "Disagreement": ".harness",
+        "DifferentialHarness": ".harness",
+        "FuzzResult": ".harness",
+        "ScenarioReport": ".harness",
+        "fuzz": ".harness",
+        "Oracle": ".oracles",
+        "default_oracles": ".oracles",
+        "Scenario": ".scenarios",
+        "network_is_chain_free": ".scenarios",
+        "random_scenario": ".scenarios",
+        "scenario_from_dict": ".scenarios",
+        "scenario_to_dict": ".scenarios",
+        "Shrinkable": ".shrink",
+        "shrink_scenario": ".shrink",
+    },
+)

@@ -17,20 +17,7 @@ that system, built on the optimal-semilightpath router:
   probability under Erlang load sweeps.
 """
 
-from repro.wdm.first_fit import FirstFitProvisioner
-from repro.wdm.optimal_protection import route_optimal_channel_disjoint_pair
-from repro.wdm.planner import Demand, Plan, StaticPlanner
-from repro.wdm.protection import ProtectedPath, route_disjoint_pair
-from repro.wdm.provisioning import Connection, SemilightpathProvisioner
-from repro.wdm.restoration import (
-    RestorationReport,
-    cut_fiber,
-    restore,
-    restore_channels,
-)
-from repro.wdm.simulation import BlockingStats, DynamicSimulation
-from repro.wdm.state import WavelengthState
-from repro.wdm.traffic import TrafficGenerator, TrafficRequest
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WavelengthState",
@@ -52,3 +39,28 @@ __all__ = [
     "restore",
     "restore_channels",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "FirstFitProvisioner": ".first_fit",
+        "route_optimal_channel_disjoint_pair": ".optimal_protection",
+        "Demand": ".planner",
+        "Plan": ".planner",
+        "StaticPlanner": ".planner",
+        "ProtectedPath": ".protection",
+        "route_disjoint_pair": ".protection",
+        "Connection": ".provisioning",
+        "SemilightpathProvisioner": ".provisioning",
+        "RestorationReport": ".restoration",
+        "cut_fiber": ".restoration",
+        "restore": ".restoration",
+        "restore_channels": ".restoration",
+        "BlockingStats": ".simulation",
+        "DynamicSimulation": ".simulation",
+        "WavelengthState": ".state",
+        "TrafficGenerator": ".traffic",
+        "TrafficRequest": ".traffic",
+    },
+)

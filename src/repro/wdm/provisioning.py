@@ -118,29 +118,32 @@ class SemilightpathProvisioner:
 
         Channels held by live connections are simply absent from the
         residual ``Λ(e)`` sets — matching how the paper models
-        unavailability (infinite weight == not a resource).
-        """
-        residual = WDMNetwork(
-            self.network.num_wavelengths,
-            default_conversion=self.network.conversion(self.network.nodes()[0])
-            if self.network.num_nodes
-            else None,
-        )
-        for node in self.network.nodes():
-            residual.add_node(node, self.network.conversion(node))
-        bias = self._packing_bias()
-        for link in self.network.links():
-            occupied = self.state.occupied_on(link.tail, link.head)
-            costs = {
-                w: c + bias.get(w, 0.0)
-                for w, c in link.costs.items()
-                if w not in occupied
-            }
-            residual.add_link(link.tail, link.head, costs)
-        return residual
+        unavailability (infinite weight == not a resource).  A link that
+        loses every channel stays, as a dark link.
 
-    def _packing_bias(self) -> dict[int, float]:
-        """Infinitesimal per-wavelength cost nudges implementing *packing*.
+        The residual is a structural copy of :attr:`network`
+        (:meth:`~repro.core.network.WDMNetwork.with_link_costs`): only a
+        link that holds a reserved channel, or that a packing nudge
+        re-prices, gets a new cost table; every other link and every
+        conversion model is shared with :attr:`network`.  One admission
+        under ``packing="none"`` thus costs one pass over the links plus
+        a copy of the occupied links' tables, not a validated rebuild.
+        """
+        nudge = self._packing_bias()
+        repriced = any(nudge)
+        occupied_on = self.state.occupied_on
+        tables = {}
+        for link in self.network.links():
+            held = occupied_on(link.tail, link.head)
+            if held or repriced:
+                tables[(link.tail, link.head)] = {
+                    w: c + nudge[w] for w, c in link.costs.items() if w not in held
+                }
+        return self.network.with_link_costs(tables)
+
+    def _packing_bias(self) -> list[float]:
+        """Infinitesimal per-wavelength cost nudges implementing *packing*,
+        indexed by wavelength (all zero under ``packing="none"``).
 
         The perturbation budget (all nudges summed over the longest
         possible walk) stays below any real cost difference: epsilon is
@@ -148,7 +151,7 @@ class SemilightpathProvisioner:
         walk-length bound.
         """
         if self.packing == "none":
-            return {}
+            return [0.0] * self.network.num_wavelengths
         usage = [0] * self.network.num_wavelengths
         for connection in self._active.values():
             for hop in connection.path.hops:
@@ -163,11 +166,8 @@ class SemilightpathProvisioner:
         epsilon = floor / (walk_bound * (max(usage) + 1) * 1e3 + 1)
         if self.packing == "most-used":
             # Busier wavelengths get a *smaller* nudge: preferred on ties.
-            return {
-                w: epsilon * (max(usage) - count)
-                for w, count in enumerate(usage)
-            }
-        return {w: epsilon * count for w, count in enumerate(usage)}
+            return [epsilon * (max(usage) - count) for count in usage]
+        return [epsilon * count for count in usage]
 
     def establish(self, source: NodeId, target: NodeId) -> Connection:
         """Admit a connection, reserving its channels.

@@ -4,7 +4,9 @@
 held by live connections.  It is deliberately independent of any routing
 policy: provisioners reserve and release through it, and it enforces the
 two invariants that matter — no double-reservation and no release of a
-channel that is not held.
+channel that is not held.  Occupancy is kept per link, so asking what
+one link holds costs O(|Λ(e)|) however many channels are reserved
+elsewhere.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ Channel = tuple[NodeId, NodeId, int]  # (tail, head, wavelength)
 class WavelengthState:
     """Occupancy ledger over a network's wavelength channels.
 
+    The ledger maps each link ``(tail, head)`` to the set of its
+    wavelengths that live connections hold; a link none of whose
+    channels was ever reserved has no entry.
+
     Example
     -------
     >>> from repro.topology.reference import paper_figure1_network
@@ -39,12 +45,12 @@ class WavelengthState:
 
     def __init__(self, network: "WDMNetwork") -> None:
         self.network = network
-        self._occupied: set[Channel] = set()
+        self._occupied: dict[tuple[NodeId, NodeId], set[int]] = {}
 
     @property
     def num_occupied(self) -> int:
         """Number of currently reserved channels."""
-        return len(self._occupied)
+        return sum(map(len, self._occupied.values()))
 
     @property
     def total_channels(self) -> int:
@@ -62,13 +68,11 @@ class WavelengthState:
         link = self.network.link(tail, head)
         if wavelength not in link.costs:
             return False
-        return (tail, head, wavelength) not in self._occupied
+        return wavelength not in self._occupied.get((tail, head), ())
 
     def occupied_on(self, tail: NodeId, head: NodeId) -> frozenset[int]:
         """Wavelengths currently reserved on one link."""
-        return frozenset(
-            w for (t, h, w) in self._occupied if t == tail and h == head
-        )
+        return frozenset(self._occupied.get((tail, head), ()))
 
     def occupied_channels(self) -> frozenset[Channel]:
         """Snapshot of every reserved ``(tail, head, wavelength)`` channel.
@@ -77,14 +81,17 @@ class WavelengthState:
         restoration and fault-injection tooling diff these snapshots to
         find which connections a failure touched.
         """
-        return frozenset(self._occupied)
+        return frozenset(
+            (tail, head, wavelength)
+            for (tail, head), held in self._occupied.items()
+            for wavelength in held
+        )
 
     def free_on(self, tail: NodeId, head: NodeId) -> frozenset[int]:
         """Available-and-free wavelengths on one link."""
         link = self.network.link(tail, head)
-        return frozenset(
-            w for w in link.costs if (tail, head, w) not in self._occupied
-        )
+        held = self._occupied.get((tail, head), ())
+        return frozenset(w for w in link.costs if w not in held)
 
     def reserve_channels(self, channels: Iterable[Channel]) -> None:
         """Atomically reserve *channels*; raises (without partial effect)
@@ -97,7 +104,7 @@ class WavelengthState:
                     f"channel λ{wavelength + 1} does not exist on "
                     f"{tail!r}->{head!r}"
                 )
-            if (tail, head, wavelength) in self._occupied:
+            if wavelength in self._occupied.get((tail, head), ()):
                 raise ReservationError(
                     f"channel λ{wavelength + 1} on {tail!r}->{head!r} "
                     f"is already reserved"
@@ -107,15 +114,18 @@ class WavelengthState:
             if channel in seen:
                 raise ReservationError(f"duplicate channel in request: {channel!r}")
             seen.add(channel)
-        self._occupied.update(wanted)
+        for tail, head, wavelength in wanted:
+            self._occupied.setdefault((tail, head), set()).add(wavelength)
 
     def release_channels(self, channels: Iterable[Channel]) -> None:
         """Release previously reserved *channels*; raises on any not held."""
         wanted = list(channels)
         for channel in wanted:
-            if channel not in self._occupied:
+            tail, head, wavelength = channel
+            if wavelength not in self._occupied.get((tail, head), ()):
                 raise ReservationError(f"channel not reserved: {channel!r}")
-        self._occupied.difference_update(wanted)
+        for tail, head, wavelength in wanted:
+            self._occupied[(tail, head)].discard(wavelength)
 
     def reserve_path(self, path: Semilightpath) -> None:
         """Reserve every channel a semilightpath uses."""

@@ -327,6 +327,52 @@ def test_shard_workers_hold_no_listener(paper_net):
                 assert holdings(pid) == expected, pid
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_respawned_worker_holds_no_gossip_socket(paper_net):
+    """A worker forked after gossip began closes the sockets of every
+    server's gossip clients, so closing a client gives its peer end of
+    file rather than leaving a copy open in some worker."""
+    from repro.cluster.shards import ShardManager
+
+    with ShardManager(paper_net, shards=1, replicas=2, workers=1) as manager:
+        first, second = manager.servers_of(0)
+        with RouterClient(first.address) as client:
+            # A floods the batch to B, and B re-floods it to A.
+            client.patch([("fail_link", (1, 2)), ("recover_link", (1, 2))])
+
+        def peer_sockets() -> set[str]:
+            return {
+                _socket_name(peer._sock)
+                for server in (first, second)
+                for peer in list(server._peer_clients.values())
+                if peer._sock is not None
+            }
+
+        deadline = time.monotonic() + 10.0
+        while len(peer_sockets()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        gossip = peer_sockets()
+        assert len(gossip) == 2
+
+        (old,) = second.worker_pids()
+        os.kill(old, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while _running(old) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(old)
+        with RouterClient(second.address) as client:
+            assert client.route(1, 7).total_cost == 2.0  # the checkout respawns
+        (new,) = second.worker_pids()
+        assert new != old
+        # A worker closes what it inherited, then attaches its segment.
+        own = f"/dev/shm/{second.segment_name}"
+        deadline = time.monotonic() + 10.0
+        while own not in _held_fds(new) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert own in _held_fds(new)
+        assert gossip.isdisjoint(_held_fds(new))
+
+
 def test_in_process_close_drains_claimed_jobs(paper_net):
     """``close()`` waits for a job a worker holds instead of stranding it.
 
